@@ -10,7 +10,10 @@ For a matrix P in the image of the twisted adjoint representation, N equals
 2^n * S * (central part of S^-1), so dividing N by a central square root of
 sign * reverse(N) * N yields the two preimages +-S.  Which of the candidate
 central roots is correct is decided by direct verification against the
-matrix, which is cheap (n conjugations).
+matrix.  The action of an element S, reverse(S)*S with the rows
+grade_involution(S) e_a S^-1, is computed once per element by
+``_twisted_action`` and shared by the verification residual, the Newton
+polish, the group classification and the forward map; S and -S share it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .algebra import (
     _get_tables,
     _product_arrays,
     _vector_mul_right,
-    geometric_product,
-    involution,
     pseudoscalar_square,
 )
 from .errors import (
@@ -244,28 +245,62 @@ def _central_inverse(z: CenterElement, tiny: float = 1e-300) -> CenterElement | 
     return CenterElement(sig, z.scalar_part / denom, -z.pseudo_part / denom)
 
 
-def _residual_of_array(t, s_arr: np.ndarray, matrix: OrthoMatrix) -> float:
-    """Scaled twisted-adjoint residual for a raw coefficient array."""
-    gram = _product_arrays(t, s_arr * t.reverse_signs, s_arr)
-    lam = gram[0]
-    off = gram.copy()
-    off[0] = 0.0
-    peak = float(np.max(np.abs(s_arr)))
-    if abs(lam) < 1e-9 or float(np.max(np.abs(off))) > 1e-6 * max(1.0, abs(lam), peak * peak):
-        return math.inf
-    inverse = (s_arr * t.reverse_signs) / lam
+def _gram(t, s_arr: np.ndarray) -> np.ndarray:
+    """reverse(S)*S."""
+    return _product_arrays(t, s_arr * t.reverse_signs, s_arr)
+
+
+def _off_scalar(gram: np.ndarray) -> float:
+    """Largest coefficient of reverse(S)*S off the scalar blade."""
+    return float(np.max(np.abs(gram[1:])))
+
+
+def _usable_gram(gram: np.ndarray, peak: float) -> bool:
+    """Whether reverse(S)*S is a nonzero scalar to the residual's tolerance."""
+    lam = abs(gram[0])
+    return not (lam < 1e-9 or _off_scalar(gram) > 1e-6 * max(1.0, lam, peak * peak))
+
+
+def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram):
+    """reverse(S)*S and the rows grade_involution(S) e_a S^-1, stacked n x 2^n.
+
+    No row is formed, and None stands in for them, unless
+    ``admit(gram, coefficient peak of S)`` accepts reverse(S)*S.
+    """
+    gram = _gram(t, s_arr)
+    if not admit(gram, float(np.max(np.abs(s_arr)))):
+        return gram, None
+    inverse = (s_arr * t.reverse_signs) / gram[0]
     hat = s_arr * t.grade_signs
-    worst = 0.0
-    for a in range(1, t.n + 1):
-        image = _product_arrays(t, _blade_mul_right(t, hat, 1 << (a - 1)), inverse)
-        expected = np.zeros(t.size)
-        for b in range(t.n):
-            expected[1 << b] = matrix.entries[a - 1, b]
-        worst = max(worst, float(np.max(np.abs(image - expected))))
-    return worst / max(1.0, float(np.max(np.abs(matrix.entries))))
+    return gram, np.stack(
+        [_product_arrays(t, _blade_mul_right(t, hat, 1 << a), inverse) for a in range(t.n)]
+    )
 
 
-def _newton_polish(t, s_arr: np.ndarray, matrix: OrthoMatrix, iterations: int = 5) -> np.ndarray:
+def _embed_rows(t, entries: np.ndarray) -> np.ndarray:
+    """Matrix rows as grade-1 elements, stacked n x 2^n."""
+    rows = np.zeros((t.n, t.size))
+    rows[:, t.grades == 1] = entries
+    return rows
+
+
+def _contract(t, stacked) -> np.ndarray:
+    """sum_a stacked[a] * e^a over the reciprocal generators e^a = e_a / e_a^2."""
+    acc = np.zeros(t.size)
+    for a, element in enumerate(stacked):
+        acc += _blade_mul_right(t, element, 1 << a, float(t.metric[a]))
+    return acc
+
+
+def _residual(t, rows: np.ndarray | None, matrix: OrthoMatrix) -> float:
+    """Scaled twisted-adjoint residual of the action rows; inf when there are none."""
+    if rows is None:
+        return math.inf
+    deviations = np.max(np.abs(rows - _embed_rows(t, matrix.entries)), axis=1).tolist()
+    return max(0.0, *deviations) / max(1.0, float(np.max(np.abs(matrix.entries))))
+
+
+def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations: int = 5):
     """Refine a spin-element candidate against the matrix it should cover.
 
     Writes the next iterate as S(1 + X) with X even, solving the linearized
@@ -285,19 +320,18 @@ def _newton_polish(t, s_arr: np.ndarray, matrix: OrthoMatrix, iterations: int = 
     roundoff whenever the starting candidate is anywhere near the preimage;
     this recovers the digits that cancellation in the numerator sum costs on
     strongly boosted matrices.
+
+    Takes and returns the action of the iterate alongside it; each step
+    linearizes around the action its merit was judged on.
     """
-    n = t.n
+    expected = _embed_rows(t, matrix.entries)
 
-    def merit(arr: np.ndarray) -> float:
-        gram = _product_arrays(t, arr * t.reverse_signs, arr)
-        lam = gram[0]
-        off = gram.copy()
-        off[0] = 0.0
-        defect = float(np.max(np.abs(off))) / max(1.0, abs(lam))
-        return max(_residual_of_array(t, arr, matrix), defect)
+    def merit(iterate_action) -> float:
+        gram, rows = iterate_action
+        return max(_residual(t, rows, matrix), _off_scalar(gram) / max(1.0, abs(gram[0])))
 
-    best = s_arr
-    best_merit = merit(s_arr)
+    best, best_action = s_arr, action
+    best_merit = merit(action)
     current = s_arr
     grades = t.grades.astype(np.float64)
     action_divisors = np.where(t.grades % 4 == 2, 2.0 * grades, 0.0)
@@ -305,37 +339,31 @@ def _newton_polish(t, s_arr: np.ndarray, matrix: OrthoMatrix, iterations: int = 
     for _ in range(iterations):
         if not math.isfinite(best_merit) or best_merit < 1e-15:
             break
-        reversed_arr = current * t.reverse_signs
-        gram = _product_arrays(t, reversed_arr, current)
+        gram, rows = action
         lam = gram[0]
         if abs(lam) < 1e-9:
             break
-        inverse = reversed_arr / lam
-        hat = current * t.grade_signs
-        hat_inverse = inverse * t.grade_signs
-        contracted = np.zeros(t.size)
-        for a in range(1, n + 1):
-            bit = 1 << (a - 1)
-            image = _product_arrays(t, _blade_mul_right(t, hat, bit), inverse)
-            residual_row = -image
-            for b in range(n):
-                residual_row[1 << b] += matrix.entries[a - 1, b]
-            conjugated = _product_arrays(t, _product_arrays(t, hat_inverse, residual_row), current)
-            contracted += _blade_mul_right(t, conjugated, bit, float(t.metric[a - 1]))
+        hat_inverse = (current * t.reverse_signs) / lam * t.grade_signs
+        contracted = _contract(
+            t,
+            (_product_arrays(t, _product_arrays(t, hat_inverse, defect), current)
+             for defect in expected - rows),
+        )
         correction = np.divide(
             contracted, action_divisors, out=np.zeros(t.size), where=action_divisors != 0.0
         )
         correction[gram_block] = -gram[gram_block] / (2.0 * lam)
         current = current + _product_arrays(t, current, correction)
-        norm = abs(_product_arrays(t, current * t.reverse_signs, current)[0])
+        norm = abs(_gram(t, current)[0])
         if norm > 0:
             current = current / math.sqrt(norm)
-        step_merit = merit(current)
+        action = _twisted_action(t, current)
+        step_merit = merit(action)
         if step_merit < best_merit:
-            best, best_merit = current, step_merit
+            best, best_action, best_merit = current, action, step_merit
         elif not math.isfinite(step_merit) or step_merit > 10.0 * best_merit:
             break
-    return best
+    return best, best_action
 
 
 def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
@@ -350,63 +378,17 @@ def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
     Returns inf when S has no usable inverse (reverse(S)*S far from a nonzero
     scalar), so unusable candidates lose any comparison.
     """
-    return _residual_of_array(_get_tables(s.sig), s.coeffs, matrix)
+    t = _get_tables(s.sig)
+    return _residual(t, _twisted_action(t, s.coeffs)[1], matrix)
 
 
-def _numerator_to_result(
-    matrix: OrthoMatrix,
-    numerator: np.ndarray,
-    norm_sign: int,
-    residual_tol: float,
-    warning: str | None,
-) -> RotorResult:
-    """Normalize a raw numerator array by a central square root and verify."""
-    sig = matrix.sig
-    t = _get_tables(sig)
-    reversed_numerator = numerator * t.reverse_signs
-    gram = _product_arrays(t, reversed_numerator, numerator) * float(norm_sign)
-    central = CenterElement(
-        sig, float(gram[0]), float(gram[-1]) if sig.n % 2 == 1 else 0.0
-    )
-    off_center = gram.copy()
-    off_center[0] = 0.0
-    if sig.n % 2 == 1:
-        off_center[-1] = 0.0
-    # Roundoff in the gram scales with the square of the numerator peak (the
-    # intermediate product magnitude), not with the gram itself.
-    peak = float(np.max(np.abs(numerator)))
-    if float(np.max(np.abs(off_center))) > 1e-7 * max(1.0, peak * peak):
-        raise VerificationFailedError(
-            float(np.max(np.abs(off_center))),
-            "reverse(N)*N is not central; the input is outside the method's domain",
-        )
-    best: np.ndarray | None = None
-    best_residual = math.inf
-    for root in central_sqrt_candidates(central):
-        inverse = _central_inverse(root)
-        if inverse is None:
-            continue
-        arr = numerator * inverse.scalar_part
-        if sig.n % 2 == 1 and inverse.pseudo_part != 0.0:
-            arr = arr + _blade_mul_right(t, numerator, t.full_mask, inverse.pseudo_part)
-        residual = _residual_of_array(t, arr, matrix)
-        if residual < best_residual:
-            best, best_residual = arr, residual
-    # Polishing only pays off when cancellation noise is visible; the bulk of
-    # inputs verify far below tolerance straight from the division.
-    if best is not None and math.isfinite(best_residual) and best_residual > 1e-11:
-        best = _newton_polish(t, best, matrix)
-        best_residual = _residual_of_array(t, best, matrix)
-    if best is None or best_residual > residual_tol:
-        raise VerificationFailedError(best_residual)
-    spin = canonicalize_sign(Multivector(sig, best))
-    return RotorResult(
-        spin=spin,
-        norm_sign=norm_sign,
-        residual=best_residual,
-        groups=classify_spin(spin),
-        warning=warning,
-    )
+def _verified(t, arr, action, residual, residual_tol, norm_sign, warning) -> RotorResult:
+    """Verify a candidate and classify its sign-canonical form by the candidate's action."""
+    if arr is None or residual > residual_tol:
+        raise VerificationFailedError(residual)
+    spin = canonicalize_sign(Multivector(t.sig, arr))
+    groups = _classify(t, spin.coeffs, action=action)[0]
+    return RotorResult(spin, norm_sign, residual, groups, warning)
 
 
 def recover_spin(
@@ -414,19 +396,21 @@ def recover_spin(
     *,
     residual_tol: float = DEFAULT_RESIDUAL_TOLERANCE,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOLERANCE,
-    method: str = "product",
 ) -> RotorResult:
     """Find the +-S double-cover preimages of a pseudo-orthogonal matrix.
 
-    Builds the numerator sum, normalizes by the central square root whose
-    sign is fixed by the component of the group, and keeps the candidate
-    with the smallest verification residual.  The returned representative is
-    sign-canonicalized; the other preimage is its negative.
+    Builds the numerator sum in product form (``spin_numerator(matrix,
+    method="minors")`` is its independent reference), normalizes by the
+    central square root whose sign is fixed by the component of the group,
+    and keeps the candidate with the smallest verification residual.  The
+    returned representative is sign-canonicalized; the other preimage is its
+    negative.
     """
     sig = matrix.sig
-    numerator = spin_numerator(matrix, method=method)
+    t = _get_tables(sig)
+    numerator = spin_numerator(matrix).coeffs
     scale = float(1 << sig.n)
-    peak = numerator.max_abs()
+    peak = float(np.max(np.abs(numerator)))
     if peak < scale * degeneracy_tol:
         raise CenterProjectionVanishesError(
             "the numerator sum is numerically zero: the spin element for this matrix "
@@ -439,7 +423,40 @@ def recover_spin(
             "the result may be ill-conditioned"
         )
     norm_sign = spinor_norm_sign(matrix)
-    return _numerator_to_result(matrix, numerator.coeffs, norm_sign, residual_tol, warning)
+    gram = _gram(t, numerator) * float(norm_sign)
+    central = CenterElement(
+        sig, float(gram[0]), float(gram[-1]) if sig.n % 2 == 1 else 0.0
+    )
+    off_center = gram.copy()
+    off_center[0] = 0.0
+    if sig.n % 2 == 1:
+        off_center[-1] = 0.0
+    # Roundoff in the gram scales with the square of the numerator peak (the
+    # intermediate product magnitude), not with the gram itself.
+    if float(np.max(np.abs(off_center))) > 1e-7 * max(1.0, peak * peak):
+        raise VerificationFailedError(
+            float(np.max(np.abs(off_center))),
+            "reverse(N)*N is not central; the input is outside the method's domain",
+        )
+    best = best_action = None
+    best_residual = math.inf
+    for root in central_sqrt_candidates(central):
+        inverse = _central_inverse(root)
+        if inverse is None:
+            continue
+        arr = numerator * inverse.scalar_part
+        if sig.n % 2 == 1 and inverse.pseudo_part != 0.0:
+            arr = arr + _blade_mul_right(t, numerator, t.full_mask, inverse.pseudo_part)
+        action = _twisted_action(t, arr)
+        residual = _residual(t, action[1], matrix)
+        if residual < best_residual:
+            best, best_action, best_residual = arr, action, residual
+    # Polishing only pays off when cancellation noise is visible; the bulk of
+    # inputs verify far below tolerance straight from the division.
+    if best is not None and math.isfinite(best_residual) and best_residual > 1e-11:
+        best, best_action = _newton_polish(t, best, best_action, matrix)
+        best_residual = _residual(t, best_action[1], matrix)
+    return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning)
 
 
 def recover_hestenes(
@@ -467,24 +484,15 @@ def recover_hestenes(
             "the dimension-4 shortcut needs a proper orthochronous matrix (SO+)"
         )
     t = _get_tables(sig)
-    contraction = np.zeros(t.size)
-    for a in range(1, sig.n + 1):
-        vector = np.zeros(t.size)
-        for b in range(sig.n):
-            vector[1 << b] = matrix.entries[a - 1, b]
-        bit = 1 << (a - 1)
-        contraction += _blade_mul_right(t, vector, bit, float(t.metric[a - 1]))
+    contraction = _contract(t, _embed_rows(t, matrix.entries))
     peak = float(np.max(np.abs(contraction)))
     if peak < sig.n * degeneracy_tol:
         raise HestenesConditionError(
             "the grade-1 contraction vanishes: the spin element has neither scalar "
             "nor pseudoscalar part, so the dimension-4 shortcut does not apply"
         )
-    ell = Multivector(sig, contraction)
-    gram = geometric_product(involution(ell, "reverse"), ell)
-    z0 = gram.scalar_part
-    z4 = gram.pseudoscalar_part
-    off = gram.coeffs.copy()
+    gram = _gram(t, contraction)
+    off = gram.copy()
     off[0] = 0.0
     off[-1] = 0.0
     if float(np.max(np.abs(off))) > 1e-7 * max(1.0, peak * peak):
@@ -492,24 +500,17 @@ def recover_hestenes(
             float(np.max(np.abs(off))),
             "reverse(L)*L left the scalar + pseudoscalar plane",
         )
-    w = cmath.sqrt(complex(z0, z4))
+    w = cmath.sqrt(complex(gram[0], gram[-1]))
     if abs(w) == 0.0:
         raise HestenesConditionError("the contraction self-product vanished")
     w_inv = 1.0 / w
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
-    if math.isfinite(_residual_of_array(t, normalized, matrix)):
-        normalized = _newton_polish(t, normalized, matrix)
-    residual = _residual_of_array(t, normalized, matrix)
-    if residual > residual_tol:
-        raise VerificationFailedError(residual)
-    candidate = canonicalize_sign(Multivector(sig, normalized))
-    return RotorResult(
-        spin=candidate,
-        norm_sign=spinor_norm_sign(matrix),
-        residual=residual,
-        groups=classify_spin(candidate),
-        warning=None,
-    )
+    action = _twisted_action(t, normalized)
+    residual = _residual(t, action[1], matrix)
+    if math.isfinite(residual):
+        normalized, action = _newton_polish(t, normalized, action, matrix)
+        residual = _residual(t, action[1], matrix)
+    return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None)
 
 
 def rotor_from_frames(
@@ -532,16 +533,14 @@ def rotor_from_frames(
     n = sig.n
     if len(frames) != n:
         raise NotAFrameError(f"expected {n} frame vectors for {sig}, got {len(frames)}")
-    entries = np.zeros((n, n))
+    vector_slots = _get_tables(sig).grades == 1
     for a, frame in enumerate(frames):
         if frame.sig != sig:
             raise SignatureMismatchError("frame vectors live in different algebras")
-        off_vector = frame.coeffs.copy()
-        for b in range(n):
-            entries[a, b] = frame.coeffs[1 << b]
-            off_vector[1 << b] = 0.0
+        off_vector = np.where(vector_slots, 0.0, frame.coeffs)
         if float(np.max(np.abs(off_vector))) > ortho_tol * max(1.0, frame.max_abs()):
             raise NotAFrameError(f"frame vector {a + 1} has non-vector components")
+    entries = np.array([frame.coeffs[vector_slots] for frame in frames])
     try:
         matrix = validate_pseudo_orthogonal(entries, sig, tol=ortho_tol)
     except NotPseudoOrthogonalError as exc:
@@ -567,53 +566,59 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
     checks but with non-unit scalar gets all-false flags (it is a versor but
     not normalized).
     """
-    t = _get_tables(s.sig)
-    peak = s.max_abs()
+    return _classify(_get_tables(s.sig), s.coeffs, tol)[0]
+
+
+def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
+    """classify_spin on a coefficient array, also returning the action rows.
+
+    ``action`` is the action of S or of -S (they coincide) if already known;
+    one without rows is formed again under this function's own gram check.
+    """
+    peak = float(np.max(np.abs(s_arr)))
     if peak == 0.0:
         raise ValueError("cannot classify the zero multivector")
-    even_peak = float(np.max(np.abs(np.where(t.grades % 2 == 0, s.coeffs, 0.0))))
-    odd_peak = float(np.max(np.abs(np.where(t.grades % 2 == 1, s.coeffs, 0.0))))
+    even_peak = float(np.max(np.abs(np.where(t.grades % 2 == 0, s_arr, 0.0))))
+    odd_peak = float(np.max(np.abs(np.where(t.grades % 2 == 1, s_arr, 0.0))))
     if min(even_peak, odd_peak) > tol * max(1.0, peak):
         raise MixedParityError(
             f"element mixes even ({even_peak:.3e}) and odd ({odd_peak:.3e}) content"
         )
     is_even = even_peak >= odd_peak
 
-    reversed_arr = involution(s, "reverse").coeffs
-    gram = _product_arrays(t, reversed_arr, s.coeffs)
-    lam = gram[0]
-    off = gram.copy()
-    off[0] = 0.0
-    # Roundoff in the products scales with the square of the coefficient peak.
-    if float(np.max(np.abs(off))) > tol * max(1.0, abs(lam), peak * peak):
-        raise NotInLipschitzGroupError("reverse(S)*S is not a real scalar")
-    if abs(lam) <= tol:
-        raise NotInLipschitzGroupError("S is not invertible")
+    def lipschitz(gram: np.ndarray, peak: float) -> bool:
+        # Roundoff in the products scales with the square of the coefficient peak.
+        if _off_scalar(gram) > tol * max(1.0, abs(gram[0]), peak * peak):
+            raise NotInLipschitzGroupError("reverse(S)*S is not a real scalar")
+        if abs(gram[0]) <= tol:
+            raise NotInLipschitzGroupError("S is not invertible")
+        return True
 
-    inverse = reversed_arr / lam
-    hat = involution(s, "grade").coeffs
-    for a in range(s.sig.n):
-        image = _product_arrays(t, _blade_mul_right(t, hat, 1 << a), inverse)
+    if action is None or action[1] is None:
+        action = _twisted_action(t, s_arr, lipschitz)
+    else:
+        lipschitz(action[0], peak)
+    gram, rows = action
+    for a, image in enumerate(rows):
         off_vector = np.where(t.grades == 1, 0.0, image)
         if float(np.max(np.abs(off_vector))) > tol * max(1.0, float(np.max(np.abs(image)))):
             raise NotInLipschitzGroupError(
                 f"conjugation of generator {a + 1} leaves the grade-1 subspace"
             )
 
-    sigma_reverse = lam
-    sigma_conjugate = _product_arrays(t, involution(s, "conjugate").coeffs, s.coeffs)[0]
-    is_unit = abs(abs(lam) - 1.0) <= tol
-    in_pin = is_unit
-    in_pin_plus = is_unit and sigma_conjugate > 0
-    in_pin_minus = is_unit and sigma_reverse > 0
+    sigma_reverse = gram[0]
+    # Only the sign of <conjugate(S) S>_0 is read, and only the diagonal
+    # blade pairs reach the scalar: O(2^n) instead of a full product.
+    sigma_conjugate = np.sum(s_arr * t.conjugate_signs * s_arr * t.blade_square)
+    is_unit = abs(abs(sigma_reverse) - 1.0) <= tol
     in_spin = is_unit and is_even
     return SpinGroupTags(
-        in_pin=in_pin,
+        in_pin=is_unit,
         in_spin=in_spin,
         in_spin_plus=in_spin and sigma_reverse > 0,
-        in_pin_plus=in_pin_plus,
-        in_pin_minus=in_pin_minus,
-    )
+        in_pin_plus=is_unit and sigma_conjugate > 0,
+        in_pin_minus=is_unit and sigma_reverse > 0,
+    ), rows
 
 
 def forward_matrix(
@@ -626,20 +631,11 @@ def forward_matrix(
 
     S must classify into Pin; the result always validates as pseudo-orthogonal.
     """
-    tags = classify_spin(s, tol=tol)
+    t = _get_tables(s.sig)
+    tags, rows = _classify(t, s.coeffs, tol)
     if not tags.in_pin:
         raise NotInPinError("the element is a versor but not normalized to Pin")
-    t = _get_tables(s.sig)
-    gram = _product_arrays(t, involution(s, "reverse").coeffs, s.coeffs)
-    inverse = involution(s, "reverse").coeffs / gram[0]
-    hat = involution(s, "grade").coeffs
-    n = s.sig.n
-    entries = np.zeros((n, n))
-    for a in range(n):
-        image = _product_arrays(t, _blade_mul_right(t, hat, 1 << a), inverse)
-        for b in range(n):
-            entries[a, b] = image[1 << b]
-    return validate_pseudo_orthogonal(entries, s.sig, tol=ortho_tol)
+    return validate_pseudo_orthogonal(rows[:, t.grades == 1], s.sig, tol=ortho_tol)
 
 
 def random_versor(sig: Signature, k: int, seed=None) -> Multivector:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rotorlift.recovery
 from rotorlift import (
     CenterElement,
     CenterProjectionVanishesError,
@@ -572,3 +573,45 @@ class TestResidualDefinition:
         s = canonicalize_sign(exp_series(mv(sig, {(1, 2): 0.3})))
         other = canonicalize_sign(exp_series(mv(sig, {(1, 2): 0.9})))
         assert twisted_adjoint_residual(other, forward_matrix(s)) > 0.1
+
+
+class TestTwistedAction:
+    """The action of S is formed once per element and read by every consumer."""
+
+    def test_forward_and_recovery_share_one_action(self, monkeypatch):
+        real = rotorlift.recovery._product_arrays
+        calls = []
+
+        def counting(t, u, v):
+            calls.append(1)
+            return real(t, u, v)
+
+        monkeypatch.setattr(rotorlift.recovery, "_product_arrays", counting)
+        sig = Signature(3, 3)
+        matrix = forward_matrix(random_versor(sig, 2, seed=1))
+        # classification: one gram and n rows, reused as the entries
+        assert len(calls) <= sig.n + 1
+        calls.clear()
+        result = recover_spin(matrix)
+        # reverse(N) N, then one gram and n rows for the single candidate,
+        # which also classify it; polish runs only above a residual of 1e-11
+        assert result.residual <= 1e-11
+        assert len(calls) <= sig.n + 2
+
+    def test_unit_gram_with_action_leaving_grade_one(self):
+        # reverse(S) S = 1, but S e_a S^-1 = -e_a e123456 has grade 5
+        sig = Signature(6, 0)
+        s = mv(sig, {(): 1.0 / math.sqrt(2.0), (1, 2, 3, 4, 5, 6): 1.0 / math.sqrt(2.0)})
+        with pytest.raises(NotInLipschitzGroupError, match="leaves the grade-1 subspace"):
+            classify_spin(s)
+        with pytest.raises(NotInLipschitzGroupError, match="leaves the grade-1 subspace"):
+            forward_matrix(s)
+        identity = validate_pseudo_orthogonal(np.eye(6), sig)
+        assert twisted_adjoint_residual(s, identity) == 1.0
+
+    def test_non_scalar_gram_has_infinite_residual(self):
+        # reverse(S) S = 2 + 2 e1234 is not a scalar, so S^-1 is never formed
+        sig = Signature(6, 0)
+        s = mv(sig, {(): 1.0, (1, 2, 3, 4): 1.0})
+        identity = validate_pseudo_orthogonal(np.eye(6), sig)
+        assert twisted_adjoint_residual(s, identity) == math.inf

@@ -6,8 +6,9 @@ occurs.  A multivector is a dense float64 array of 2**n coefficients.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 
-Multiplication signs are looked up in per-signature tables that are built
-once, frozen (read-only arrays), and cached for the lifetime of the process.
+Multiplication signs are looked up in a per-signature 4**n-byte sign table,
+built once, frozen (read-only arrays), and cached for the lifetime of the
+process.  Every geometric product runs through one kernel, ``_product_arrays``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .errors import NotAVersorError, SignatureMismatchError
 
 DEFAULT_TOLERANCE = 1e-10
 
-# Dense storage is 2**n coefficients and the sign table is 4**n bytes, so the
-# dimension is capped.  The default cap keeps the largest algebra at 4096
-# coefficients / 16 MiB of tables.
+# Dense storage is 2**n coefficients and the sign table, the only table that
+# grows as 4**n, is 4**n bytes, so the dimension is capped.  The default cap
+# keeps the largest algebra at 4096 coefficients / 16 MiB of signs.
 DEFAULT_MAX_DIMENSION = 12
 _HARD_MAX_DIMENSION = 14
 
@@ -80,12 +81,8 @@ class _SignatureTables:
     __slots__ = (
         "sig", "n", "size", "full_mask", "metric", "grades", "masks",
         "signs", "grade_signs", "reverse_signs", "conjugate_signs",
-        "blade_square", "xor_flat",
+        "blade_square",
     )
-
-    # Above this dimension the flattened XOR index for the dense product
-    # would dominate memory; fall back to the row-loop product.
-    _XOR_TABLE_MAX_N = 10
 
     def __init__(self, sig: Signature):
         n = sig.n
@@ -114,10 +111,6 @@ class _SignatureTables:
         metric = np.ones(n, dtype=np.float64)
         metric[sig.p:] = -1.0
 
-        xor_flat = None
-        if n <= self._XOR_TABLE_MAX_N:
-            xor_flat = (masks16[:, None] ^ masks16[None, :]).ravel().astype(np.intp)
-
         self.sig = sig
         self.n = n
         self.size = size
@@ -130,12 +123,9 @@ class _SignatureTables:
         self.reverse_signs = reverse_signs
         self.conjugate_signs = conjugate_signs
         self.blade_square = blade_square
-        self.xor_flat = xor_flat
         for name in ("metric", "grades", "masks", "signs", "grade_signs",
                      "reverse_signs", "conjugate_signs", "blade_square"):
             getattr(self, name).setflags(write=False)
-        if xor_flat is not None:
-            xor_flat.setflags(write=False)
 
 
 _tables_lock = threading.Lock()
@@ -354,33 +344,32 @@ class Multivector:
         return Multivector(self.sig, np.where(t.grades % 2 == 1, self.coeffs, 0.0))
 
 
-# -- product kernels -------------------------------------------------------
+# -- product kernel --------------------------------------------------------
 
-# Below this many nonzero coefficients an operand is treated as sparse and the
-# product runs as a short loop over its support instead of the dense kernel.
+# Bound on the blade-pair terms one block of the product materializes, which
+# bounds its transient memory at a few times 8 bytes per term.
+_TERM_BUDGET = 1 << 20
+
+# A right operand with at most this many nonzero coefficients, and fewer than
+# the left one, is moved to the left so the kernel walks the shorter support.
 _SPARSE_CUTOFF = 8
 
 
 def _product_arrays(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nu = int(np.count_nonzero(u))
-    nv = int(np.count_nonzero(v))
-    result_dtype = np.result_type(u, v)
-    if nu == 0 or nv == 0:
-        return np.zeros(t.size, dtype=result_dtype)
-    if (
-        t.xor_flat is not None
-        and result_dtype == np.float64
-        and min(nu, nv) > _SPARSE_CUTOFF
-    ):
-        outer = (u[:, None] * v[None, :]) * t.signs
-        return np.bincount(t.xor_flat, weights=outer.ravel(), minlength=t.size)
-    out = np.zeros(t.size, dtype=result_dtype)
-    if nu <= nv:
-        for a in np.flatnonzero(u):
-            out[a ^ t.masks] += u[a] * (t.signs[a, :] * v)
-    else:
-        for b in np.flatnonzero(v):
-            out[t.masks ^ b] += (u * t.signs[:, b]) * v[b]
+    """u * v, scattering u_a v_b e_a e_b onto blade a ^ b for blocks of rows a of u's support."""
+    if np.count_nonzero(v) < min(np.count_nonzero(u), _SPARSE_CUTOFF + 1):
+        # uv = reverse(reverse(v) reverse(u)); + 0.0 unsigns exact zeros.  Swapping only
+        # here keeps the summation order, to which Newton polish on strong boosts is
+        # sensitive at the residual tolerance (ROADMAP item 5).
+        r = t.reverse_signs
+        return _product_arrays(t, v * r, u * r) * r + 0.0
+    rows = np.flatnonzero(u)
+    step = _TERM_BUDGET >> t.n
+    out = np.zeros(t.size)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        terms = np.multiply.outer(u[block], v) * t.signs[block]
+        out += np.bincount((block[:, None] ^ t.masks).ravel(), terms.ravel(), t.size)
     return out
 
 

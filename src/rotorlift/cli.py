@@ -16,6 +16,7 @@ stderr and maps to a documented exit code:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -236,8 +237,8 @@ def main(argv=None) -> int:
             method=getattr(args, "method", "general"),
             seed=getattr(args, "seed", 0),
         )
-        if config.tol_ortho <= 0 or config.tol_residual <= 0:
-            raise ParseError("tolerances must be positive")
+        if not (0 < config.tol_ortho < math.inf and 0 < config.tol_residual < math.inf):
+            raise ParseError("tolerances must be positive and finite")
         return _COMMANDS[config.command](config)
     except RotorLiftError as exc:
         return _error_exit(exc)

@@ -8,6 +8,7 @@ at the bottom.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -75,8 +76,9 @@ def multivector_from_doc(doc) -> Multivector:
         raise ParseError('multivector object needs a "coefficients" map')
     arr = np.zeros(1 << sig.n)
     for label, value in coefficients.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"coefficient of blade {label!r} is not a number")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ParseError(f"coefficient of blade {label!r} is not a finite number")
         arr[parse_blade_label(label, sig.n)] += float(value)
     return Multivector(sig, arr)
 

@@ -293,11 +293,12 @@ def _contract(t, stacked) -> np.ndarray:
 
 
 def _residual(t, rows: np.ndarray | None, matrix: OrthoMatrix) -> float:
-    """Scaled twisted-adjoint residual of the action rows; inf when there are none."""
+    """Scaled twisted-adjoint residual of the action rows; inf when absent or not finite."""
     if rows is None:
         return math.inf
-    deviations = np.max(np.abs(rows - _embed_rows(t, matrix.entries)), axis=1).tolist()
-    return max(0.0, *deviations) / max(1.0, float(np.max(np.abs(matrix.entries))))
+    worst = float(np.max(np.abs(rows - _embed_rows(t, matrix.entries))))
+    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
+    return worst / scale if math.isfinite(worst) else math.inf
 
 
 def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations: int = 5):
@@ -384,7 +385,7 @@ def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
 
 def _verified(t, arr, action, residual, residual_tol, norm_sign, warning) -> RotorResult:
     """Verify a candidate and classify its sign-canonical form by the candidate's action."""
-    if arr is None or residual > residual_tol:
+    if arr is None or not residual <= residual_tol:  # a NaN tolerance fails
         raise VerificationFailedError(residual)
     spin = canonicalize_sign(Multivector(t.sig, arr))
     groups = _classify(t, spin.coeffs, action=action)[0]
@@ -578,6 +579,8 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
     peak = float(np.max(np.abs(s_arr)))
     if peak == 0.0:
         raise ValueError("cannot classify the zero multivector")
+    if not math.isfinite(peak):
+        raise ValueError("cannot classify a multivector with non-finite coefficients")
     even_peak = float(np.max(np.abs(np.where(t.grades % 2 == 0, s_arr, 0.0))))
     odd_peak = float(np.max(np.abs(np.where(t.grades % 2 == 1, s_arr, 0.0))))
     if min(even_peak, odd_peak) > tol * max(1.0, peak):

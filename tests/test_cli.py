@@ -94,6 +94,9 @@ class TestRecover:
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", rotation_doc(0.2))
         assert main(["recover", "--input", path, "--tol-ortho", "-1"]) == 2
+        for flag in ("--tol-ortho", "--tol-residual"):
+            for value in ("nan", "inf"):
+                assert main(["recover", "--input", path, flag, value]) == 2
         capsys.readouterr()
 
 
@@ -155,6 +158,13 @@ class TestClassify:
         assert main(["classify", "--input", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["groups"] == ["Pin", "Pin-"]
+
+    def test_non_finite_versor_document(self, tmp_path, capsys):
+        for value in ("NaN", "Infinity"):
+            path = tmp_path / "v.json"
+            path.write_text('{"signature": {"p": 2, "q": 0}, "coefficients": {"": %s}}' % value)
+            assert main(["classify", "--input", str(path)]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "Parse"
 
 
 class TestRoundTripThroughFiles:

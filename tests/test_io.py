@@ -69,6 +69,14 @@ class TestMultivectorDocs:
             )
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient(self, value):
+        with pytest.raises(ParseError, match="not a finite number"):
+            multivector_from_doc(
+                {"signature": {"p": 1, "q": 0}, "coefficients": {"1": value}}
+            )
+
+
 class TestMatrixDocs:
     def test_round_trip(self):
         sig = Signature(1, 1)

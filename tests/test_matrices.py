@@ -56,6 +56,10 @@ class TestValidation:
             validate_pseudo_orthogonal(2.0 * np.eye(2), Signature(2, 0))
         assert abs(info.value.residual - 3.0) < 1e-12
 
+    def test_nan_tolerance_rejects(self):
+        with pytest.raises(NotPseudoOrthogonalError):
+            validate_pseudo_orthogonal(np.eye(2), Signature(2, 0), tol=math.nan)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             validate_pseudo_orthogonal(np.zeros((2, 3)), Signature(2, 0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotorlift.algebra
 from rotorlift import (
     CenterElement,
     Multivector,
@@ -12,12 +13,14 @@ from rotorlift import (
     SignatureMismatchError,
     NotAVersorError,
     average_over_basis,
+    blade_product,
     center_project,
     generator_conjugation,
     geometric_product,
     grade_project,
     involution,
     pseudoscalar_square,
+    random_versor,
     set_max_dimension,
     versor_inverse,
 )
@@ -115,10 +118,59 @@ class TestGeometricProduct:
         u = random_multivector(sig, rng)
         sparse = Multivector.basis_vector(sig, 1) + Multivector.basis_vector(sig, sig.n)
         direct = geometric_product(u, sparse)
-        # force the other kernel by writing the sparse operand densely
+        # written densely, the right operand is no longer moved to the left
         dense = Multivector(sig, sparse.coeffs + 1e-30)
         other = geometric_product(u, dense)
         assert max_diff(direct, other) <= 1e-12 * max(1.0, direct.max_abs())
+
+
+def blade_by_blade(u: Multivector, v: Multivector) -> np.ndarray:
+    out = np.zeros(1 << u.sig.n)
+    for a in np.flatnonzero(u.coeffs):
+        for b in np.flatnonzero(v.coeffs):
+            mask, sign = blade_product(int(a), int(b), u.sig)
+            out[mask] += sign * u.coeffs[a] * v.coeffs[b]
+    return out
+
+
+class TestProductKernel:
+    """One scatter-add over the left operand's support, in bounded blocks."""
+
+    @pytest.mark.parametrize("p, q", [(3, 3), (2, 2), (1, 3), (3, 0)])
+    def test_blocks_agree_with_one_block(self, p, q, monkeypatch):
+        sig = Signature(p, q)
+        rng = np.random.default_rng(p * 7 + q)
+        u, v = random_multivector(sig, rng), random_multivector(sig, rng)
+        whole = geometric_product(u, v).coeffs
+        scale = max(1.0, np.max(np.abs(whole)))
+        # at most 2^n / 4 rows per block: four or more blocks
+        monkeypatch.setattr(rotorlift.algebra, "_TERM_BUDGET", 1 << (2 * sig.n - 2))
+        blocked = geometric_product(u, v).coeffs
+        assert np.max(np.abs(blocked - whole)) <= 1e-13 * scale
+        if sig.n <= 4:
+            assert np.max(np.abs(blocked - blade_by_blade(u, v))) <= 1e-13 * scale
+
+    def test_two_versors_in_eleven_dimensions(self):
+        sig = Signature(6, 5)
+        u, v = random_versor(sig, 11, seed=1), random_versor(sig, 10, seed=2)
+        # the whole odd half of u: more rows than one block holds at n = 11
+        assert np.count_nonzero(u.coeffs) > rotorlift.algebra._TERM_BUDGET >> sig.n
+        product = geometric_product(u, v).coeffs
+        expected = np.zeros(1 << sig.n)
+        for a in np.flatnonzero(u.coeffs):
+            blade = Multivector.basis_blade(sig, int(a))
+            expected += u.coeffs[a] * geometric_product(blade, v).coeffs
+        assert np.max(np.abs(product - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("p, q", [(1, 0), (2, 1), (3, 3)])
+    def test_zero_operand(self, p, q):
+        sig = Signature(p, q)
+        rng = np.random.default_rng(sig.n)
+        u, zero = random_multivector(sig, rng), Multivector.zero(sig)
+        for product in (geometric_product(u, zero), geometric_product(zero, u),
+                        geometric_product(zero, zero)):
+            # exact, unsigned zeros on either side
+            assert not np.any(product.coeffs) and not np.any(np.signbit(product.coeffs))
 
 
 class TestGradeStructure:

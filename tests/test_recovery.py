@@ -223,6 +223,14 @@ class TestRecoverSpin:
         with pytest.raises(VerificationFailedError):
             recover_spin(matrix)
 
+    def test_nan_tolerance_fails_closed(self):
+        sig = Signature(1, 3)
+        matrix = forward_matrix(random_versor(sig, 2, seed=3))
+        for recover in (recover_spin, recover_hestenes):
+            assert recover(matrix).residual <= 1e-8
+            with pytest.raises(VerificationFailedError):
+                recover(matrix, residual_tol=math.nan)
+
     def test_reverse_and_conjugate_gram_coincide(self):
         # for an even numerator the two candidate normalization products match
         for sig in (Signature(3, 0), Signature(0, 3), Signature(2, 1)):
@@ -508,6 +516,14 @@ class TestClassifySpin:
         tags = classify_spin(Multivector.scalar(Signature(2, 0), 2.0))
         assert not tags.in_pin and not tags.in_spin
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_element_rejected(self, value):
+        sig = Signature(2, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_spin(mv(sig, {(): value}))
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_matrix(mv(sig, {(): 1.0, (1, 2): value}))
+
     def test_non_versor_rejected(self):
         sig = Signature(4, 0)
         with pytest.raises(MixedParityError):
@@ -573,6 +589,12 @@ class TestResidualDefinition:
         s = canonicalize_sign(exp_series(mv(sig, {(1, 2): 0.3})))
         other = canonicalize_sign(exp_series(mv(sig, {(1, 2): 0.9})))
         assert twisted_adjoint_residual(other, forward_matrix(s)) > 0.1
+
+    def test_nan_element_has_infinite_residual(self):
+        sig = Signature(2, 0)
+        identity = validate_pseudo_orthogonal(np.eye(2), sig)
+        for terms in ({(): math.nan}, {(): 1.0, (1, 2): math.nan}):
+            assert twisted_adjoint_residual(mv(sig, terms), identity) == math.inf
 
 
 class TestTwistedAction:

@@ -350,19 +350,9 @@ class Multivector:
 # bounds its transient memory at a few times 8 bytes per term.
 _TERM_BUDGET = 1 << 20
 
-# A right operand with at most this many nonzero coefficients, and fewer than
-# the left one, is moved to the left so the kernel walks the shorter support.
-_SPARSE_CUTOFF = 8
-
 
 def _product_arrays(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u * v, scattering u_a v_b e_a e_b onto blade a ^ b for blocks of rows a of u's support."""
-    if np.count_nonzero(v) < min(np.count_nonzero(u), _SPARSE_CUTOFF + 1):
-        # uv = reverse(reverse(v) reverse(u)); + 0.0 unsigns exact zeros.  Swapping only
-        # here keeps the summation order, to which Newton polish on strong boosts is
-        # sensitive at the residual tolerance (ROADMAP item 5).
-        r = t.reverse_signs
-        return _product_arrays(t, v * r, u * r) * r + 0.0
     rows = np.flatnonzero(u)
     step = _TERM_BUDGET >> t.n
     out = np.zeros(t.size)

@@ -56,8 +56,10 @@ def validate_pseudo_orthogonal(entries, sig: Signature, tol: float = DEFAULT_ORT
     eta = metric_matrix(sig)
     residual = float(np.max(np.abs(arr.T @ eta @ arr - eta)))
     peak = float(np.max(np.abs(arr)))
-    # Written as "not within" so that a NaN tolerance rejects.
-    if not np.isfinite(residual) or not residual <= tol * max(1.0, peak * peak):
+    # Written so that a NaN tolerance rejects, and an infinite one, which would
+    # accept any matrix, too.
+    bound = tol * max(1.0, peak * peak)
+    if not (np.isfinite(residual) and np.isfinite(bound) and residual <= bound):
         raise NotPseudoOrthogonalError(residual)
     det = float(np.linalg.det(arr))
     if abs(abs(det) - 1.0) > max(100.0 * tol, 1e-6):

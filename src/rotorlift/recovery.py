@@ -6,11 +6,15 @@ blade built from the matrix rows times the reciprocal basis blade:
     N = sum_A det(P)^|A| * (row-frame blade for A) * e^A      (det factor only
                                                                matters for odd n)
 
-For a matrix P in the image of the twisted adjoint representation, N equals
-2^n * S * (central part of S^-1), so dividing N by a central square root of
-sign * reverse(N) * N yields the two preimages +-S.  Which of the candidate
-central roots is correct is decided by direct verification against the
-matrix.  The action of an element S, reverse(S)*S with the rows
+It is summed in nested form, N = (1 + L_1)(1 + L_2)...(1 + L_n)(1) with
+L_a(X) = det(P) f_a X e_a^-1 and f_a row a as a vector: n vector products,
+O(n^2 2^n) work.  For a matrix P in the image of the twisted adjoint
+representation, N equals 2^n * S * (central part of S^-1), so dividing N
+by a central square root of sign * reverse(N) * N yields the two preimages
++-S.  Which of the candidate central roots is correct is decided by direct
+verification against the matrix, after a Newton polish whose bivector step
+is a least-squares fit of the grade-1 row defect when cancellation has
+cost digits.  The action of an element S, reverse(S)*S with the rows
 grade_involution(S) e_a S^-1, is computed once per element by
 ``_twisted_action`` and shared by the verification residual, the Newton
 polish, the group classification and the forward map; S and -S share it.
@@ -28,6 +32,7 @@ from .algebra import (
     CenterElement,
     Multivector,
     Signature,
+    _blade_mul_left,
     _blade_mul_right,
     _get_tables,
     _product_arrays,
@@ -57,6 +62,9 @@ from .matrices import (
 
 DEFAULT_RESIDUAL_TOLERANCE = 1e-8
 DEFAULT_DEGENERACY_TOLERANCE = 1e-8
+# Residual above which recover_spin polishes its candidate, and the merit at
+# which the polish stops.
+_POLISH_THRESHOLD = 1e-11
 # Coefficients at or below this are treated as zero when picking the
 # canonical representative of the +-S pair.
 CANONICAL_COEFF_TOLERANCE = 1e-9
@@ -112,29 +120,18 @@ def canonicalize_sign(s: Multivector, tol: float = CANONICAL_COEFF_TOLERANCE) ->
 
 
 def _numerator_array(matrix: OrthoMatrix) -> np.ndarray:
-    """Product-form numerator sum as a raw array."""
-    t = _get_tables(matrix.sig)
-    n = matrix.sig.n
-    det_sign = matrix.det_sign
-    entries = matrix.entries
-    acc = np.zeros(t.size)
-    acc[0] = 1.0  # empty multi-index: e * e
+    """Numerator sum in nested form, n vector products in all.
 
-    # Depth-first over ascending index chains so each frame blade is one
-    # vector multiplication away from its prefix; the stack stays O(n^2).
-    unit = np.zeros(t.size)
-    unit[0] = 1.0
-    stack: list[tuple[np.ndarray, int, int, int]] = [(unit, 0, 0, 0)]
-    while stack:
-        prefix, last, length, mask = stack.pop()
-        for a in range(last + 1, n + 1):
-            sub_mask = mask | (1 << (a - 1))
-            blade = _vector_mul_right(t, prefix, entries[a - 1])
-            factor = float(t.blade_square[sub_mask]) * (det_sign if (length + 1) % 2 else 1)
-            acc += _blade_mul_right(t, blade, sub_mask, factor)
-            if a < n:
-                stack.append((blade, a, length + 1, sub_mask))
-    return acc
+    N = (1 + L_1)(1 + L_2)...(1 + L_n)(1) with L_a(X) = det * f_a X e_a^-1 and
+    f_a row a as a vector; this builds reverse(N) as Y <- Y + det * e_a^-1 Y f_a.
+    """
+    t = _get_tables(matrix.sig)
+    y = np.zeros(t.size)
+    y[0] = 1.0
+    for a in reversed(range(t.n)):
+        f_y = _vector_mul_right(t, y, matrix.entries[a])
+        y = y + _blade_mul_left(t, f_y, 1 << a, matrix.det_sign * float(t.metric[a]))
+    return y * t.reverse_signs
 
 
 def spin_numerator(matrix: OrthoMatrix, method: str = "product") -> Multivector:
@@ -144,8 +141,9 @@ def spin_numerator(matrix: OrthoMatrix, method: str = "product") -> Multivector:
     formula for the improper even-dimensional components.  The result is
     always an even element.
 
-    method="minors" rebuilds every frame blade from explicit minors instead
-    of products of frame vectors; it is much slower and exists for
+    method="product" sums the terms in nested form, n vector products in
+    all; method="minors" rebuilds every frame blade from explicit minors
+    instead of products of frame vectors; it is much slower and exists for
     cross-validation.
     """
     sig = matrix.sig
@@ -301,31 +299,68 @@ def _residual(t, rows: np.ndarray | None, matrix: OrthoMatrix) -> float:
     return worst / scale if math.isfinite(worst) else math.inf
 
 
+def _bivector_step(t, p_cur: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Bivector X = sum_{a<b} x_ab e_a e_b whose first-order change of the rows best fits delta.
+
+    X moves the grade-1 rows P_cur by sum_ab x_ab G_ab P_cur, where G_ab P_cur
+    has row a equal to -2 m_a P_cur[b], row b equal to 2 m_b P_cur[a] and zeros
+    elsewhere.  The least-squares fit of delta is solved by modified
+    Gram-Schmidt on [design | delta] and back substitution (Bjorck 1967).
+    """
+    first, second = np.triu_indices(t.n, 1)
+    m = len(first)
+    columns = np.zeros((m + 1, t.n, t.n))
+    columns[np.arange(m), first] = -2.0 * t.metric[first, None] * p_cur[second]
+    columns[np.arange(m), second] = 2.0 * t.metric[second, None] * p_cur[first]
+    columns[m] = delta
+    q = columns.reshape(m + 1, -1)
+    r = np.zeros((m, m + 1))
+    for k in range(m):
+        r[k, k] = math.sqrt(q[k] @ q[k])
+        q[k] /= r[k, k]
+        r[k, k + 1:] = q[k + 1:] @ q[k]
+        q[k + 1:] -= np.outer(r[k, k + 1:], q[k])
+    x = np.zeros(m)
+    for k in reversed(range(m)):
+        x[k] = (r[k, m] - r[k, k + 1:m] @ x[k + 1:]) / r[k, k]
+    bivector = np.zeros(t.size)
+    bivector[(1 << first) | (1 << second)] = x
+    return bivector
+
+
 def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations: int = 5):
     """Refine a spin-element candidate against the matrix it should cover.
 
     Writes the next iterate as S(1 + X) with X even, solving the linearized
-    equations in closed form, one grade block at a time:
+    equations one grade block at a time:
 
-    * grades g = 2 mod 4 (reversion-antisymmetric, containing the group's
-      tangent bivectors) enter the computed rows through the commutator
-      [X, e_a], so contracting the conjugated row residuals c_a with the
-      reciprocal generators isolates them: sum_a c_a e^a picks up 2g X_g.
-    * grades g = 0 mod 4, g >= 2 (reversion-symmetric, all transverse to the
-      versor manifold) barely move the rows but show up at first order in
-      reverse(S) S = lambda (1 + 2 X_g), so the gram pins them.
+    * grade 2, the group's tangent bivectors, moves the grade-1 rows by
+      grade_involution(S)[X, e_a]S^-1; its step is the least-squares fit of
+      the n x n grade-1 row defect (``_bivector_step``).
+    * grades g = 2 mod 4 with g >= 6 (transverse to the versor manifold)
+      move the rows off grade 1 through the same commutator, so contracting
+      the conjugated row residuals c_a with the reciprocal generators
+      isolates them: sum_a c_a e^a picks up 2g X_g.
+    * grades g = 0 mod 4, g >= 4 (transverse as well) show up at first
+      order in reverse(S) S = lambda (1 + 2 X_g), so the gram pins them.
 
     The g = 0 direction is pure rescaling and is handled by normalization.
-    Together the blocks control every even direction, the iteration is
-    quadratically convergent, and the verification residual is driven to
-    roundoff whenever the starting candidate is anywhere near the preimage;
-    this recovers the digits that cancellation in the numerator sum costs on
-    strongly boosted matrices.
+    The contraction is an exact inverse only on the range of
+    X -> grade_involution(S)[X, e_a]S^-1; rounded rows lie off that range,
+    and pulling them back through S amplifies that offset by about the
+    square of the coefficient peak of S.  On the bivectors this held the
+    iteration at spurious fixed points near the residual tolerance, hence
+    the least-squares step; the contraction runs only when the rows'
+    off-vector defect is what holds the merit up.  The loop stops once its
+    merit is at most ``_POLISH_THRESHOLD``.  This recovers the digits that
+    cancellation in the numerator sum costs on strongly boosted matrices.
 
     Takes and returns the action of the iterate alongside it; each step
     linearizes around the action its merit was judged on.
     """
     expected = _embed_rows(t, matrix.entries)
+    vector_slots = t.grades == 1
+    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
 
     def merit(iterate_action) -> float:
         gram, rows = iterate_action
@@ -335,24 +370,28 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
     best_merit = merit(action)
     current = s_arr
     grades = t.grades.astype(np.float64)
-    action_divisors = np.where(t.grades % 4 == 2, 2.0 * grades, 0.0)
+    action_divisors = np.where((t.grades % 4 == 2) & (t.grades >= 6), 2.0 * grades, 0.0)
     gram_block = (t.grades % 4 == 0) & (t.grades > 0)
     for _ in range(iterations):
-        if not math.isfinite(best_merit) or best_merit < 1e-15:
+        if not math.isfinite(best_merit) or best_merit <= _POLISH_THRESHOLD:
             break
         gram, rows = action
         lam = gram[0]
         if abs(lam) < 1e-9:
             break
-        hat_inverse = (current * t.reverse_signs) / lam * t.grade_signs
-        contracted = _contract(
-            t,
-            (_product_arrays(t, _product_arrays(t, hat_inverse, defect), current)
-             for defect in expected - rows),
-        )
-        correction = np.divide(
-            contracted, action_divisors, out=np.zeros(t.size), where=action_divisors != 0.0
-        )
+        p_cur = rows[:, vector_slots]
+        correction = _bivector_step(t, p_cur, matrix.entries - p_cur)
+        defects = expected - rows
+        off_vector = np.max(np.abs(defects[:, ~vector_slots]))
+        if t.n >= 6 and off_vector > max(np.max(np.abs(defects[:, vector_slots])),
+                                         _POLISH_THRESHOLD * scale):
+            hat_inverse = (current * t.reverse_signs) / lam * t.grade_signs
+            contracted = _contract(
+                t,
+                (_product_arrays(t, _product_arrays(t, hat_inverse, defect), current)
+                 for defect in defects),
+            )
+            np.divide(contracted, action_divisors, out=correction, where=action_divisors != 0.0)
         correction[gram_block] = -gram[gram_block] / (2.0 * lam)
         current = current + _product_arrays(t, current, correction)
         norm = abs(_gram(t, current)[0])
@@ -385,7 +424,7 @@ def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
 
 def _verified(t, arr, action, residual, residual_tol, norm_sign, warning) -> RotorResult:
     """Verify a candidate and classify its sign-canonical form by the candidate's action."""
-    if arr is None or not residual <= residual_tol:  # a NaN tolerance fails
+    if arr is None or not residual <= residual_tol or not math.isfinite(residual_tol):
         raise VerificationFailedError(residual)
     spin = canonicalize_sign(Multivector(t.sig, arr))
     groups = _classify(t, spin.coeffs, action=action)[0]
@@ -400,7 +439,7 @@ def recover_spin(
 ) -> RotorResult:
     """Find the +-S double-cover preimages of a pseudo-orthogonal matrix.
 
-    Builds the numerator sum in product form (``spin_numerator(matrix,
+    Builds the numerator sum in nested form (``spin_numerator(matrix,
     method="minors")`` is its independent reference), normalizes by the
     central square root whose sign is fixed by the component of the group,
     and keeps the candidate with the smallest verification residual.  The
@@ -410,9 +449,10 @@ def recover_spin(
     sig = matrix.sig
     t = _get_tables(sig)
     numerator = spin_numerator(matrix).coeffs
-    scale = float(1 << sig.n)
+    # N = 2^n S center(S^-1) grows with the entries, so the gate scales with both.
+    scale = float(1 << sig.n) * max(1.0, float(np.max(np.abs(matrix.entries))))
     peak = float(np.max(np.abs(numerator)))
-    if peak < scale * degeneracy_tol:
+    if not peak >= scale * degeneracy_tol:  # a NaN tolerance rejects
         raise CenterProjectionVanishesError(
             "the numerator sum is numerically zero: the spin element for this matrix "
             "has vanishing central part and cannot be recovered by this construction"
@@ -454,7 +494,7 @@ def recover_spin(
             best, best_action, best_residual = arr, action, residual
     # Polishing only pays off when cancellation noise is visible; the bulk of
     # inputs verify far below tolerance straight from the division.
-    if best is not None and math.isfinite(best_residual) and best_residual > 1e-11:
+    if best is not None and math.isfinite(best_residual) and best_residual > _POLISH_THRESHOLD:
         best, best_action = _newton_polish(t, best, best_action, matrix)
         best_residual = _residual(t, best_action[1], matrix)
     return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning)
@@ -487,7 +527,7 @@ def recover_hestenes(
     t = _get_tables(sig)
     contraction = _contract(t, _embed_rows(t, matrix.entries))
     peak = float(np.max(np.abs(contraction)))
-    if peak < sig.n * degeneracy_tol:
+    if not peak >= sig.n * degeneracy_tol:
         raise HestenesConditionError(
             "the grade-1 contraction vanishes: the spin element has neither scalar "
             "nor pseudoscalar part, so the dimension-4 shortcut does not apply"

@@ -60,6 +60,12 @@ class TestValidation:
         with pytest.raises(NotPseudoOrthogonalError):
             validate_pseudo_orthogonal(np.eye(2), Signature(2, 0), tol=math.nan)
 
+    def test_infinite_tolerance_rejects(self):
+        # an infinite bound would accept any matrix, whatever its determinant
+        for entries in (np.eye(2), 2.0 * np.eye(2)):
+            with pytest.raises(NotPseudoOrthogonalError):
+                validate_pseudo_orthogonal(entries, Signature(2, 0), tol=math.inf)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             validate_pseudo_orthogonal(np.zeros((2, 3)), Signature(2, 0))

@@ -118,7 +118,7 @@ class TestGeometricProduct:
         u = random_multivector(sig, rng)
         sparse = Multivector.basis_vector(sig, 1) + Multivector.basis_vector(sig, sig.n)
         direct = geometric_product(u, sparse)
-        # written densely, the right operand is no longer moved to the left
+        # the kernel walks the left operand's support; the right one's must not matter
         dense = Multivector(sig, sparse.coeffs + 1e-30)
         other = geometric_product(u, dense)
         assert max_diff(direct, other) <= 1e-12 * max(1.0, direct.max_abs())

@@ -90,13 +90,28 @@ class TestSpinNumerator:
         with pytest.raises(SpecialOrthogonalRequiredError):
             spin_numerator(matrix)
 
-    @pytest.mark.parametrize("sig", signatures_up_to(4))
+    @pytest.mark.parametrize("sig", signatures_up_to(6))
     def test_product_and_minor_methods_agree(self, sig):
         for k in versor_ks(sig.n)[1:]:
             matrix = forward_matrix(random_versor(sig, k, seed=50 + k + sig.p))
             fast = spin_numerator(matrix, method="product")
             slow = spin_numerator(matrix, method="minors")
             assert max_diff(fast, slow) <= 1e-9 * max(1.0, fast.max_abs())
+
+    def test_nested_sum_costs_n_vector_products(self, monkeypatch):
+        sig = Signature(4, 3)
+        matrix = forward_matrix(random_versor(sig, 3, seed=7))
+        counts = {"_vector_mul_right": 0, "_product_arrays": 0}
+        for name in counts:
+            real = getattr(rotorlift.recovery, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(rotorlift.recovery, name, counting)
+        spin_numerator(matrix)
+        assert counts == {"_vector_mul_right": sig.n, "_product_arrays": 0}
 
     @pytest.mark.parametrize("sig", signatures_up_to(5))
     def test_numerator_is_even(self, sig):
@@ -230,6 +245,30 @@ class TestRecoverSpin:
             assert recover(matrix).residual <= 1e-8
             with pytest.raises(VerificationFailedError):
                 recover(matrix, residual_tol=math.nan)
+
+    def test_infinite_tolerance_fails_closed(self):
+        sig = Signature(1, 3)
+        matrix = forward_matrix(random_versor(sig, 2, seed=3))
+        for recover in (recover_spin, recover_hestenes):
+            with pytest.raises(VerificationFailedError):
+                recover(matrix, residual_tol=math.inf)
+
+    @pytest.mark.parametrize("degeneracy_tol", [math.nan, math.inf])
+    def test_non_finite_degeneracy_tolerance_rejects(self, degeneracy_tol):
+        sig = Signature(2, 0)
+        for entries in (-np.eye(2), rotation2(0.3)):
+            matrix = validate_pseudo_orthogonal(entries, sig)
+            with pytest.raises(CenterProjectionVanishesError):
+                recover_spin(matrix, degeneracy_tol=degeneracy_tol)
+
+    def test_odd_versor_without_central_part_at_large_entries(self):
+        # three reflections in n = 5 have grades 1 and 3 only, so no central
+        # part; the numerator is cancellation noise that grows with the
+        # entries (here about 1e-3), so the gate scales with them
+        matrix = forward_matrix(random_versor(Signature(2, 3), 3, seed=19639))
+        assert np.max(np.abs(matrix.entries)) >= 1e4
+        with pytest.raises(CenterProjectionVanishesError):
+            recover_spin(matrix)
 
     def test_reverse_and_conjugate_gram_coincide(self):
         # for an even numerator the two candidate normalization products match
@@ -637,3 +676,44 @@ class TestTwistedAction:
         s = mv(sig, {(): 1.0, (1, 2, 3, 4): 1.0})
         identity = validate_pseudo_orthogonal(np.eye(6), sig)
         assert twisted_adjoint_residual(s, identity) == math.inf
+
+
+def boost_turn(sig, rapidity, angle):
+    """Boost in (e1, e_{p+1}) times a turn in (e_{p+2}, e_{p+3}), and its spin element.
+
+    S = (cosh(r/2) + sinh(r/2) e1 e_{p+1}) (cos(t/2) + sin(t/2) e_{p+2} e_{p+3}).
+    """
+    b, j, k = sig.p, sig.p + 1, sig.p + 2
+    entries = np.eye(sig.n)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    entries[np.ix_([0, b], [0, b])] = [[ch, -sh], [-sh, ch]]
+    c, s = math.cos(angle), math.sin(angle)
+    entries[np.ix_([j, k], [j, k])] = [[c, s], [-s, c]]
+    ch2, sh2 = math.cosh(rapidity / 2.0), math.sinh(rapidity / 2.0)
+    c2, s2 = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    spin = mv(sig, {(): ch2 * c2, (1, b + 1): sh2 * c2, (j + 1, k + 1): ch2 * s2,
+                    (1, b + 1, j + 1, k + 1): sh2 * s2})
+    return validate_pseudo_orthogonal(entries, sig), spin
+
+
+class TestStrongBoosts:
+    """Inputs whose numerator loses most of its digits to cancellation."""
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("rapidity", [10.0, 11.0])
+    def test_boost_times_turn_recovers(self, p, q, rapidity):
+        sig = Signature(p, q)
+        for angle in np.linspace(0.05, math.pi - 0.05, 25):
+            matrix, spin = boost_turn(sig, rapidity, angle)
+            result = recover_spin(matrix)
+            back = forward_matrix(result.spin)
+            matrix_scale = float(np.max(np.abs(matrix.entries)))
+            assert np.max(np.abs(back.entries - matrix.entries)) <= 1e-8 * matrix_scale, angle
+            assert max_diff(result.spin, canonicalize_sign(spin)) <= 1e-8 * spin.max_abs(), angle
+
+    def test_criterion_one_hard_case_polishes_to_roundoff(self):
+        # input 44 of Cl(4,2) in the acceptance round trip: entry peak 5.5e3,
+        # where contracting the pulled-back row defects every step stalls near 2e-10
+        sig = Signature(4, 2)
+        s = random_versor(sig, 4, seed=20240915 + 4 * 1_000_003 + 2 * 10_007 + 44)
+        assert recover_spin(forward_matrix(s)).residual <= 1e-10

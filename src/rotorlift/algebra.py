@@ -6,9 +6,14 @@ occurs.  A multivector is a dense float64 array of 2**n coefficients.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 
-Multiplication signs are looked up in a per-signature 4**n-byte sign table,
-built once, frozen (read-only arrays), and cached for the lifetime of the
-process.  Every geometric product runs through one kernel, ``_product_arrays``.
+The sign of a blade product needs no table: sign(e_A e_B) is
+(-1)^popcount(reorder[A] & B) for one 2**n array ``reorder`` per signature
+(the bitmap reordering sign of Dorst, Fontijne & Mann, *Geometric Algebra for
+Computer Science*, ch. 19).  Every geometric product runs through one kernel,
+``_product_arrays``, which splits Cl(p,q) into the graded tensor product of
+its low and high generators, so no per-signature array has more than
+2**(n + n//2) entries.  Tables are built once per signature, frozen
+(read-only arrays) and cached for the lifetime of the process.
 """
 
 from __future__ import annotations
@@ -22,26 +27,9 @@ from .errors import NotAVersorError, SignatureMismatchError
 
 DEFAULT_TOLERANCE = 1e-10
 
-# Dense storage is 2**n coefficients and the sign table, the only table that
-# grows as 4**n, is 4**n bytes, so the dimension is capped.  The default cap
-# keeps the largest algebra at 4096 coefficients / 16 MiB of signs.
-DEFAULT_MAX_DIMENSION = 12
-_HARD_MAX_DIMENSION = 14
-
-_max_dimension = DEFAULT_MAX_DIMENSION
-
-
-def max_dimension() -> int:
-    """Current cap on n = p + q."""
-    return _max_dimension
-
-
-def set_max_dimension(n: int) -> None:
-    """Raise or lower the dimension cap (table memory grows as 4**n)."""
-    if not 1 <= n <= _HARD_MAX_DIMENSION:
-        raise ValueError(f"max dimension must be in 1..{_HARD_MAX_DIMENSION}, got {n}")
-    global _max_dimension
-    _max_dimension = n
+# Dense storage is 2**n coefficients and a dense product costs 4**n
+# multiply-adds, so the dimension is capped.
+MAX_DIMENSION = 14
 
 
 @dataclass(frozen=True)
@@ -57,11 +45,8 @@ class Signature:
         n = self.p + self.q
         if n < 1:
             raise ValueError("need at least one generator")
-        if n > _max_dimension:
-            raise ValueError(
-                f"n = {n} exceeds the dimension cap {_max_dimension}; "
-                "raise it with set_max_dimension()"
-            )
+        if n > MAX_DIMENSION:
+            raise ValueError(f"n = {n} exceeds the dimension cap {MAX_DIMENSION}")
 
     @property
     def n(self) -> int:
@@ -76,56 +61,60 @@ class Signature:
 
 
 class _SignatureTables:
-    """Read-only multiplication tables for one signature."""
+    """Read-only sign and index arrays for one signature."""
 
     __slots__ = (
-        "sig", "n", "size", "full_mask", "metric", "grades", "masks",
-        "signs", "grade_signs", "reverse_signs", "conjugate_signs",
-        "blade_square",
+        "sig", "n", "size", "full_mask",
+        "metric", "masks", "grades", "reorder", "grade_signs", "reverse_signs",
+        "conjugate_signs", "blade_square", "right_rows", "left_rows", "low_xor",
+        "left_signs", "high_xor", "high_signs",
     )
 
     def __init__(self, sig: Signature):
         n = sig.n
         size = 1 << n
-        masks16 = np.arange(size, dtype=np.uint16)
-
-        grades = np.zeros(size, dtype=np.uint8)
+        self.sig, self.n, self.size, self.full_mask = sig, n, size, size - 1
+        self.metric = np.where(np.arange(n) < sig.p, 1.0, -1.0)
+        masks = self.masks = np.arange(size)
+        grades = self.grades = np.zeros(size, dtype=np.uint8)
         for a in range(n):
-            grades += ((masks16 >> a) & 1).astype(np.uint8)
+            grades += ((masks >> a) & 1).astype(np.uint8)
 
-        # Parity of the transposition count needed to sort e_A e_B, plus the
-        # metric signs of the annihilated common generators.
-        parity = np.zeros((size, size), dtype=np.uint8)
-        for k in range(1, n):
-            parity ^= grades[(masks16[:, None] >> k) & masks16[None, :]] & 1
-        negative_bits = (((1 << n) - 1) >> sig.p) << sig.p
-        parity ^= grades[(masks16[:, None] & masks16[None, :]) & negative_bits] & 1
-        signs = (1 - 2 * parity.astype(np.int8)).astype(np.int8)
+        # sign(e_A e_B) = grade_signs[reorder[A] & B]: bit j of reorder[A] is
+        # the parity of A's generators above j (the transpositions e_j makes
+        # on its way past them), plus bit j of A itself when e_j squares to -1.
+        reorder = self.reorder = masks & ((size - 1) >> sig.p << sig.p)
+        for j in range(n - 1):
+            reorder ^= (grades[masks >> (j + 1)] & 1).astype(np.int64) << j
 
         k = grades.astype(np.int64)
-        grade_signs = np.where(k % 2 == 0, 1, -1).astype(np.int8)
-        reverse_signs = np.where((k * (k - 1) // 2) % 2 == 0, 1, -1).astype(np.int8)
-        conjugate_signs = np.where((k * (k + 1) // 2) % 2 == 0, 1, -1).astype(np.int8)
-        blade_square = signs.diagonal().copy()
+        grade_signs = self.grade_signs = np.where(k % 2 == 0, 1, -1).astype(np.int8)
+        self.reverse_signs = np.where((k * (k - 1) // 2) % 2 == 0, 1, -1).astype(np.int8)
+        self.conjugate_signs = np.where((k * (k + 1) // 2) % 2 == 0, 1, -1).astype(np.int8)
+        self.blade_square = grade_signs[reorder & masks]
 
-        metric = np.ones(n, dtype=np.float64)
-        metric[sig.p:] = -1.0
+        # Signs of e_A e_b and e_b e_A for each generator e_b, as float rows.
+        bits = [1 << b for b in range(n)]
+        self.right_rows = {bit: 1.0 - 2.0 * ((reorder & bit) != 0) for bit in bits}
+        self.left_rows = {bit: grade_signs[reorder[bit] & masks].astype(np.float64) for bit in bits}
 
-        self.sig = sig
-        self.n = n
-        self.size = size
-        self.full_mask = size - 1
-        self.metric = metric
-        self.grades = grades
-        self.masks = np.arange(size)
-        self.signs = signs
-        self.grade_signs = grade_signs
-        self.reverse_signs = reverse_signs
-        self.conjugate_signs = conjugate_signs
-        self.blade_square = blade_square
-        for name in ("metric", "grades", "masks", "signs", "grade_signs",
-                     "reverse_signs", "conjugate_signs", "blade_square"):
-            getattr(self, name).setflags(write=False)
+        # Split A = (H << low_bits) | C into high generators H and low ones C,
+        # so that e_A = e_C e_H; left_signs[H, C, B] = s(C^B, B) (-1)^(|B||H|)
+        # and high_signs[H, M] = sign(e_H e_{H^M}) (see _product_arrays).
+        low_bits = n // 2
+        low, high = np.arange(1 << low_bits), np.arange(1 << (n - low_bits))
+        self.low_xor = low[:, None] ^ low
+        low_signs = grade_signs[reorder[self.low_xor] & low]
+        odd_high = (grades[high << low_bits] % 2 == 1)[:, None, None]
+        self.left_signs = np.where(odd_high, low_signs * grade_signs[low], low_signs).astype(np.float64)
+        self.high_xor = high[:, None] ^ high
+        high_signs = grade_signs[reorder[high << low_bits][:, None] & (self.high_xor << low_bits)]
+        self.high_signs = high_signs[:, :, None].astype(np.float64)
+
+        for name in self.__slots__[4:]:  # the slots after full_mask hold arrays
+            value = getattr(self, name)
+            for arr in value.values() if isinstance(value, dict) else [value]:
+                arr.setflags(write=False)
 
 
 _tables_lock = threading.Lock()
@@ -149,7 +138,7 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, float]:
     t = _get_tables(sig)
     if not (0 <= a < t.size and 0 <= b < t.size):
         raise ValueError(f"blade mask out of range for {sig}")
-    return a ^ b, float(t.signs[a, b])
+    return a ^ b, float(t.grade_signs[t.reorder[a] & b])
 
 
 def blade_label(mask: int, n: int) -> str:
@@ -346,27 +335,32 @@ class Multivector:
 
 # -- product kernel --------------------------------------------------------
 
-# Bound on the blade-pair terms one block of the product materializes, which
-# bounds its transient memory at a few times 8 bytes per term.
-_TERM_BUDGET = 1 << 20
-
-
 def _product_arrays(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u * v, scattering u_a v_b e_a e_b onto blade a ^ b for blocks of rows a of u's support."""
-    rows = np.flatnonzero(u)
-    step = _TERM_BUDGET >> t.n
-    out = np.zeros(t.size)
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        terms = np.multiply.outer(u[block], v) * t.signs[block]
-        out += np.bincount((block[:, None] ^ t.masks).ravel(), terms.ravel(), t.size)
-    return out
+    """u * v over the split of Cl(p,q) into its low and high generators.
+
+    With A = (H << l) | C for the l = n // 2 low bits C, e_A = e_C e_H, and a
+    high blade moves past a low element x as e_H x = x^(|H|) e_H (the grade
+    involution |H| times), so with K = H^M and s the sign in the low subalgebra
+
+        out[M, C] = sum_{H,B} (u[H, C^B] s(C^B, B) (-1)^(|B||H|)) (sign(e_H e_K) v[K, B]):
+
+    two signed gathers and one contraction.  einsum without ``optimize``
+    calls no BLAS, so the bytes do not depend on the BLAS build or on the
+    CPU kernel it picks at run time.
+    """
+    shape = (len(t.high_xor), len(t.low_xor))
+    left = u.reshape(shape).take(t.low_xor, axis=1) * t.left_signs
+    right = v.reshape(shape).take(t.high_xor, axis=0) * t.high_signs
+    return np.einsum("hcb,hmb->mc", left, right).ravel()
 
 
 def _blade_mul_right(t: _SignatureTables, arr: np.ndarray, mask: int, scale: float = 1.0) -> np.ndarray:
     """arr * (scale * e_mask); a signed permutation of the coefficients."""
+    signs = t.right_rows.get(mask)
+    if signs is None:
+        signs = t.grade_signs[t.reorder & mask]
     out = np.empty_like(arr)
-    out[t.masks ^ mask] = arr * t.signs[:, mask]
+    out[t.masks ^ mask] = arr * signs
     if scale != 1.0:
         out *= scale
     return out
@@ -374,8 +368,11 @@ def _blade_mul_right(t: _SignatureTables, arr: np.ndarray, mask: int, scale: flo
 
 def _blade_mul_left(t: _SignatureTables, arr: np.ndarray, mask: int, scale: float = 1.0) -> np.ndarray:
     """(scale * e_mask) * arr."""
+    signs = t.left_rows.get(mask)
+    if signs is None:
+        signs = t.grade_signs[t.reorder[mask] & t.masks]
     out = np.empty_like(arr)
-    out[t.masks ^ mask] = arr * t.signs[mask, :]
+    out[t.masks ^ mask] = arr * signs
     if scale != 1.0:
         out *= scale
     return out
@@ -388,7 +385,7 @@ def _vector_mul_right(t: _SignatureTables, arr: np.ndarray, coords: np.ndarray) 
         c = coords[b]
         if c != 0.0:
             bit = 1 << b
-            out[t.masks ^ bit] += (arr * t.signs[:, bit]) * c
+            out[t.masks ^ bit] += (arr * t.right_rows[bit]) * c
     return out
 
 

@@ -86,9 +86,13 @@ class CliConfig:
 def _parse_signature(text: str) -> Signature:
     try:
         p_text, q_text = text.split(",")
-        return Signature(int(p_text), int(q_text))
-    except (ValueError, TypeError) as exc:
+        p, q = int(p_text), int(q_text)
+    except ValueError as exc:
         raise ParseError(f"bad --signature {text!r}: expected 'p,q'") from exc
+    try:
+        return Signature(p, q)
+    except ValueError as exc:
+        raise ParseError(f"bad --signature {text!r}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

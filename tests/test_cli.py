@@ -71,6 +71,16 @@ class TestRecover:
         assert main(["recover", "--input", str(path), "--signature", "2,0"]) == 0
         capsys.readouterr()
 
+    def test_signature_above_the_cap_names_the_cause(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0\n")
+        assert main(["recover", "--input", str(path), "--signature", "20,0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "Parse" and err["exit_code"] == 2
+        assert err["message"] == "bad --signature '20,0': n = 20 exceeds the dimension cap 14"
+        assert main(["recover", "--input", str(path), "--signature", "2;0"]) == 2
+        assert "expected 'p,q'" in json.loads(capsys.readouterr().err)["message"]
+
     def test_output_file(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.json", rotation_doc(0.3))
         out = tmp_path / "result.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import rotorlift.algebra
 from rotorlift import (
+    MAX_DIMENSION,
     CenterElement,
     Multivector,
     Signature,
@@ -21,7 +22,6 @@ from rotorlift import (
     involution,
     pseudoscalar_square,
     random_versor,
-    set_max_dimension,
     versor_inverse,
 )
 from helpers import max_diff, random_multivector, signatures_up_to
@@ -53,15 +53,11 @@ class TestConstruction:
             Multivector.from_terms(Signature(2, 0), {(2, 1): 1.0})
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            Signature(13, 0)
-        set_max_dimension(13)
-        try:
-            Signature(13, 0)
-        finally:
-            set_max_dimension(12)
-        with pytest.raises(ValueError):
-            Signature(13, 0)
+        assert MAX_DIMENSION == 14
+        assert Signature(14, 0).n == Signature(7, 7).n == 14
+        for p, q in [(15, 0), (8, 7), (0, 15)]:
+            with pytest.raises(ValueError, match="exceeds the dimension cap 14"):
+                Signature(p, q)
 
 
 class TestGeometricProduct:
@@ -133,28 +129,54 @@ def blade_by_blade(u: Multivector, v: Multivector) -> np.ndarray:
     return out
 
 
-class TestProductKernel:
-    """One scatter-add over the left operand's support, in bounded blocks."""
+def brute_force_blade_product(a: int, b: int, sig: Signature) -> tuple[int, float]:
+    """e_a e_b by sorting its generator word with adjacent swaps, then squaring out pairs."""
+    word = [g for g in range(sig.n) if a >> g & 1] + [g for g in range(sig.n) if b >> g & 1]
+    sign = 1.0
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                sign = -sign
+    mask = 0
+    for g in word:
+        if mask >> g & 1:
+            sign *= 1.0 if g < sig.p else -1.0
+        mask ^= 1 << g
+    return mask, sign
 
-    @pytest.mark.parametrize("p, q", [(3, 3), (2, 2), (1, 3), (3, 0)])
-    def test_blocks_agree_with_one_block(self, p, q, monkeypatch):
-        sig = Signature(p, q)
-        rng = np.random.default_rng(p * 7 + q)
+
+class TestProductKernel:
+    """One contraction over the split into low and high generators, signs without a table."""
+
+    @pytest.mark.parametrize("sig", signatures_up_to(5), ids=str)
+    def test_blade_product_matches_brute_force(self, sig):
+        for a in range(1 << sig.n):
+            for b in range(1 << sig.n):
+                assert blade_product(a, b, sig) == brute_force_blade_product(a, b, sig)
+
+    @pytest.mark.parametrize("sig", signatures_up_to(5), ids=str)
+    def test_kernel_matches_blade_by_blade(self, sig):
+        rng = np.random.default_rng(sig.p * 7 + sig.q)
         u, v = random_multivector(sig, rng), random_multivector(sig, rng)
-        whole = geometric_product(u, v).coeffs
-        scale = max(1.0, np.max(np.abs(whole)))
-        # at most 2^n / 4 rows per block: four or more blocks
-        monkeypatch.setattr(rotorlift.algebra, "_TERM_BUDGET", 1 << (2 * sig.n - 2))
-        blocked = geometric_product(u, v).coeffs
-        assert np.max(np.abs(blocked - whole)) <= 1e-13 * scale
-        if sig.n <= 4:
-            assert np.max(np.abs(blocked - blade_by_blade(u, v))) <= 1e-13 * scale
+        product = geometric_product(u, v).coeffs
+        expected = blade_by_blade(u, v)
+        assert np.max(np.abs(product - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+    def test_no_table_grows_as_four_to_the_n(self):
+        sig = Signature(6, 6)
+        t = rotorlift.algebra._get_tables(sig)
+        arrays = []
+        for name in type(t).__slots__:
+            value = getattr(t, name)
+            arrays += value.values() if isinstance(value, dict) else [value]
+        sizes = [value.size for value in arrays if isinstance(value, np.ndarray)]
+        assert len(sizes) >= 2 * sig.n
+        assert max(sizes) <= 1 << (sig.n + sig.n // 2) < 4**sig.n
 
     def test_two_versors_in_eleven_dimensions(self):
         sig = Signature(6, 5)
         u, v = random_versor(sig, 11, seed=1), random_versor(sig, 10, seed=2)
-        # the whole odd half of u: more rows than one block holds at n = 11
-        assert np.count_nonzero(u.coeffs) > rotorlift.algebra._TERM_BUDGET >> sig.n
         product = geometric_product(u, v).coeffs
         expected = np.zeros(1 << sig.n)
         for a in np.flatnonzero(u.coeffs):

@@ -307,6 +307,13 @@ class TestRoundTrips:
             scale = max(1.0, s.max_abs())
             assert max_diff(canonicalize_sign(s), result.spin) <= 1e-8 * scale
 
+    def test_thirteen_dimensions(self):
+        # 8192 coefficients per element, 4^13 multiply-adds per product
+        sig = Signature(7, 6)
+        s = random_versor(sig, 4, seed=1)
+        result = recover_spin(forward_matrix(s))
+        assert max_diff(canonicalize_sign(s), result.spin) <= 1e-8 * max(1.0, s.max_abs())
+
     def test_two_sheets_share_one_matrix(self):
         sig = Signature(1, 2)
         s = random_versor(sig, 2, seed=8)

@@ -14,10 +14,18 @@ by a central square root of sign * reverse(N) * N yields the two preimages
 +-S.  Which of the candidate central roots is correct is decided by direct
 verification against the matrix, after a Newton polish whose bivector step
 is a least-squares fit of the grade-1 row defect when cancellation has
-cost digits.  The action of an element S, reverse(S)*S with the rows
+cost digits.
+
+The action of an element S, reverse(S)*S with the rows
 grade_involution(S) e_a S^-1, is computed once per element by
 ``_twisted_action`` and shared by the verification residual, the Newton
 polish, the group classification and the forward map; S and -S share it.
+It costs two products, not n + 1: the grade-1 block of the rows is read in
+O(n^2 2^n), and one probe product at fixed weights checks that no row
+leaves grade 1.  The n full rows are formed only when the probe is not
+clean at its reader's bound, or when the block defect already calls for the
+polish, which linearizes around them.  The residual is the larger of the block
+defect max |M - P| and the rows' off-vector peak, over max(1, entry peak).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    MAX_DIMENSION,
     CenterElement,
     Multivector,
     Signature,
@@ -37,6 +46,7 @@ from .algebra import (
     _get_tables,
     _product_arrays,
     _vector_mul_right,
+    _vector_parts,
     pseudoscalar_square,
 )
 from .errors import (
@@ -65,6 +75,9 @@ DEFAULT_DEGENERACY_TOLERANCE = 1e-8
 # Residual above which recover_spin polishes its candidate, and the merit at
 # which the polish stops.
 _POLISH_THRESHOLD = 1e-11
+# Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
+# _Action.off_vector): fixed, so that results repeat bit for bit.
+_PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
 # Coefficients at or below this are treated as zero when picking the
 # canonical representative of the +-S pair.
 CANONICAL_COEFF_TOLERANCE = 1e-9
@@ -100,8 +113,10 @@ class RotorResult:
     """One recovered representative of the +-S pair.
 
     ``norm_sign`` is the sign of reverse(S)*S (of conjugate(S)*S when
-    n = 3 mod 4), ``residual`` the largest deviation of the conjugation
-    action of S from the rows of the input matrix.
+    n = 3 mod 4).  ``residual`` is the largest deviation of the conjugation
+    action of S from the rows of the input matrix: the larger of the
+    grade-1 block defect max |M - P| and the peak of the rows off grade 1,
+    over max(1, entry peak).
     """
 
     spin: Multivector
@@ -259,20 +274,82 @@ def _usable_gram(gram: np.ndarray, peak: float) -> bool:
     return not (lam < 1e-9 or _off_scalar(gram) > 1e-6 * max(1.0, lam, peak * peak))
 
 
-def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram):
-    """reverse(S)*S and the rows grade_involution(S) e_a S^-1, stacked n x 2^n.
+class _Action:
+    """The twisted action of S on the generators, shared by S and -S.
 
-    No row is formed, and None stands in for them, unless
-    ``admit(gram, coefficient peak of S)`` accepts reverse(S)*S.
+    ``gram`` is reverse(S)*S.  The rest exists only when the gram is
+    admitted: ``block``, ``rows`` and the probe are None otherwise.  ``rows``,
+    the full rows grade_involution(S) e_a S^-1 stacked n x 2^n, stay None
+    until ``form_rows()`` or ``off_vector()`` forms them.
+    """
+
+    __slots__ = ("t", "gram", "rows", "_block", "_images", "_inverse", "_probe_off")
+
+    def __init__(self, t, gram, images=None, inverse=None):
+        self.t, self.gram = t, gram
+        self._images, self._inverse = images, inverse
+        self.rows = self._block = self._probe_off = None
+
+    @property
+    def block(self) -> np.ndarray | None:
+        """The n x n grade-1 block of the rows, formed once.
+
+        Read by ``_vector_parts`` in O(n^2 2^n) while the rows are not
+        formed, and sliced from them after; the two agree bit for bit.
+        """
+        if self._block is None and self._images is not None:
+            if self.rows is None:
+                self._block = _vector_parts(self.t, self._images, self._inverse)
+            else:
+                self._block = self.rows[:, self.t.grades == 1]
+        return self._block
+
+    def form_rows(self) -> np.ndarray | None:
+        """The n full rows, formed once: n products."""
+        if self.rows is None and self._images is not None:
+            self.rows = np.stack([_product_arrays(self.t, u, self._inverse) for u in self._images])
+        return self.rows
+
+    def off_vector(self, bound: float) -> float:
+        """Largest coefficient of the rows off grade 1, exact whenever it exceeds ``bound``.
+
+        Read from the rows once they are formed.  Before that, one probe
+        product grade_involution(S) (sum_a r_a e_a) S^-1 = sum_a r_a row_a at
+        the fixed weights ``_PROBE_WEIGHTS`` stands in for them, formed once
+        and shared by every caller.  The probe is clean when its off-vector
+        peak is at most ``bound`` times the smallest weight, so that no single
+        row leaves grade 1 by more than ``bound``; otherwise the rows are
+        formed and read.  A clean probe misses rows only when the off-vector
+        parts of several rows cancel at these weights.
+        """
+        t = self.t
+        vector_slots = t.grades == 1
+        if self.rows is None:
+            weights = _PROBE_WEIGHTS[:t.n]
+            if self._probe_off is None:
+                probe = _product_arrays(t, np.einsum("a,ak->k", weights, self._images), self._inverse)
+                self._probe_off = float(np.max(np.abs(probe[~vector_slots])))
+            if self._probe_off <= bound * weights[-1]:
+                return self._probe_off
+            self.form_rows()
+        return float(np.max(np.abs(self.rows[:, ~vector_slots])))
+
+
+def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram) -> _Action:
+    """The action of S: one product for reverse(S)*S, and the rest on demand.
+
+    Only an action whose gram ``admit(gram, coefficient peak of S)`` accepts
+    can form its block, rows or probe.  Each is read from U_a =
+    grade_involution(S) e_a, a signed permutation of S, and S^-1: row a is
+    the product U_a S^-1.
     """
     gram = _gram(t, s_arr)
     if not admit(gram, float(np.max(np.abs(s_arr)))):
-        return gram, None
+        return _Action(t, gram)
     inverse = (s_arr * t.reverse_signs) / gram[0]
     hat = s_arr * t.grade_signs
-    return gram, np.stack(
-        [_product_arrays(t, _blade_mul_right(t, hat, 1 << a), inverse) for a in range(t.n)]
-    )
+    images = np.stack([_blade_mul_right(t, hat, 1 << a) for a in range(t.n)])
+    return _Action(t, gram, images, inverse)
 
 
 def _embed_rows(t, entries: np.ndarray) -> np.ndarray:
@@ -290,13 +367,30 @@ def _contract(t, stacked) -> np.ndarray:
     return acc
 
 
-def _residual(t, rows: np.ndarray | None, matrix: OrthoMatrix) -> float:
-    """Scaled twisted-adjoint residual of the action rows; inf when absent or not finite."""
-    if rows is None:
+def _block_defect(action: _Action, matrix: OrthoMatrix) -> float:
+    """max |M - P| over the grade-1 block, scaled; inf when absent or not finite."""
+    if action.block is None:
         return math.inf
-    worst = float(np.max(np.abs(rows - _embed_rows(t, matrix.entries))))
+    worst = float(np.max(np.abs(action.block - matrix.entries)))
     scale = max(1.0, float(np.max(np.abs(matrix.entries))))
     return worst / scale if math.isfinite(worst) else math.inf
+
+
+def _residual(action: _Action, matrix: OrthoMatrix) -> float:
+    """Scaled twisted-adjoint residual: the block defect and the off-vector peak of the rows.
+
+    A block defect above ``_POLISH_THRESHOLD`` already puts the residual
+    there, and the polish that follows linearizes around the full rows, so
+    they are formed instead of a probe.
+    """
+    defect = _block_defect(action, matrix)
+    if not math.isfinite(defect):
+        return math.inf
+    if defect > _POLISH_THRESHOLD:
+        action.form_rows()
+    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
+    off = action.off_vector(_POLISH_THRESHOLD * scale) / scale
+    return max(defect, off) if math.isfinite(off) else math.inf
 
 
 def _bivector_step(t, p_cur: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -356,15 +450,18 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
     cancellation in the numerator sum costs on strongly boosted matrices.
 
     Takes and returns the action of the iterate alongside it; each step
-    linearizes around the action its merit was judged on.
+    linearizes around the iterate's full rows, and every iterate the loop
+    forms is judged on them.  An input whose merit already meets the
+    threshold is returned as it is, judged by its action's probe when its
+    grade-1 block meets the threshold too.
     """
     expected = _embed_rows(t, matrix.entries)
     vector_slots = t.grades == 1
     scale = max(1.0, float(np.max(np.abs(matrix.entries))))
 
     def merit(iterate_action) -> float:
-        gram, rows = iterate_action
-        return max(_residual(t, rows, matrix), _off_scalar(gram) / max(1.0, abs(gram[0])))
+        gram = iterate_action.gram
+        return max(_residual(iterate_action, matrix), _off_scalar(gram) / max(1.0, abs(gram[0])))
 
     best, best_action = s_arr, action
     best_merit = merit(action)
@@ -375,10 +472,11 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
     for _ in range(iterations):
         if not math.isfinite(best_merit) or best_merit <= _POLISH_THRESHOLD:
             break
-        gram, rows = action
+        gram = action.gram
         lam = gram[0]
         if abs(lam) < 1e-9:
             break
+        rows = action.form_rows()
         p_cur = rows[:, vector_slots]
         correction = _bivector_step(t, p_cur, matrix.entries - p_cur)
         defects = expected - rows
@@ -398,6 +496,7 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
         if norm > 0:
             current = current / math.sqrt(norm)
         action = _twisted_action(t, current)
+        action.form_rows()
         step_merit = merit(action)
         if step_merit < best_merit:
             best, best_action, best_merit = current, action, step_merit
@@ -409,17 +508,19 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
 def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
     """Largest deviation of grade_involution(S) e_a S^-1 from the rows of P.
 
-    The deviation is taken relative to the magnitude of the matrix (with a
-    floor of 1, so it coincides with the plain absolute deviation whenever
-    the entries are bounded by 1, e.g. for rotations).  Entries of strong
-    boosts grow without bound and an absolute measure would conflate scale
-    with accuracy.
+    That is the larger of the grade-1 block defect max |M - P| and the peak
+    of the rows off grade 1.  The off-vector peak comes from one probe
+    product when that probe is clean at 1e-11 of the matrix's magnitude,
+    and from the n full rows otherwise.  The deviation is taken relative to
+    the magnitude of the matrix (with a floor of 1, so it coincides with the
+    plain absolute deviation whenever the entries are bounded by 1, e.g. for
+    rotations).  Entries of strong boosts grow without bound and an absolute
+    measure would conflate scale with accuracy.
 
     Returns inf when S has no usable inverse (reverse(S)*S far from a nonzero
     scalar), so unusable candidates lose any comparison.
     """
-    t = _get_tables(s.sig)
-    return _residual(t, _twisted_action(t, s.coeffs)[1], matrix)
+    return _residual(_twisted_action(_get_tables(s.sig), s.coeffs), matrix)
 
 
 def _verified(t, arr, action, residual, residual_tol, norm_sign, warning) -> RotorResult:
@@ -479,8 +580,11 @@ def recover_spin(
             float(np.max(np.abs(off_center))),
             "reverse(N)*N is not central; the input is outside the method's domain",
         )
+    # The candidate roots are compared on their grade-1 blocks alone; the
+    # winner's off-vector part is read from its full rows if its block
+    # already calls for the polish, and from one probe product otherwise.
     best = best_action = None
-    best_residual = math.inf
+    best_defect = math.inf
     for root in central_sqrt_candidates(central):
         inverse = _central_inverse(root)
         if inverse is None:
@@ -489,14 +593,15 @@ def recover_spin(
         if sig.n % 2 == 1 and inverse.pseudo_part != 0.0:
             arr = arr + _blade_mul_right(t, numerator, t.full_mask, inverse.pseudo_part)
         action = _twisted_action(t, arr)
-        residual = _residual(t, action[1], matrix)
-        if residual < best_residual:
-            best, best_action, best_residual = arr, action, residual
+        defect = _block_defect(action, matrix)
+        if defect < best_defect:
+            best, best_action, best_defect = arr, action, defect
+    best_residual = math.inf if best is None else _residual(best_action, matrix)
     # Polishing only pays off when cancellation noise is visible; the bulk of
     # inputs verify far below tolerance straight from the division.
-    if best is not None and math.isfinite(best_residual) and best_residual > _POLISH_THRESHOLD:
+    if math.isfinite(best_residual) and best_residual > _POLISH_THRESHOLD:
         best, best_action = _newton_polish(t, best, best_action, matrix)
-        best_residual = _residual(t, best_action[1], matrix)
+        best_residual = _residual(best_action, matrix)
     return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning)
 
 
@@ -546,11 +651,8 @@ def recover_hestenes(
         raise HestenesConditionError("the contraction self-product vanished")
     w_inv = 1.0 / w
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
-    action = _twisted_action(t, normalized)
-    residual = _residual(t, action[1], matrix)
-    if math.isfinite(residual):
-        normalized, action = _newton_polish(t, normalized, action, matrix)
-        residual = _residual(t, action[1], matrix)
+    normalized, action = _newton_polish(t, normalized, _twisted_action(t, normalized), matrix)
+    residual = _residual(action, matrix)
     return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None)
 
 
@@ -611,10 +713,10 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
 
 
 def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
-    """classify_spin on a coefficient array, also returning the action rows.
+    """classify_spin on a coefficient array, also returning the action.
 
     ``action`` is the action of S or of -S (they coincide) if already known;
-    one without rows is formed again under this function's own gram check.
+    one without a block is formed again under this function's own gram check.
     """
     peak = float(np.max(np.abs(s_arr)))
     if peak == 0.0:
@@ -637,19 +739,21 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
             raise NotInLipschitzGroupError("S is not invertible")
         return True
 
-    if action is None or action[1] is None:
+    if action is None or action.block is None:
         action = _twisted_action(t, s_arr, lipschitz)
     else:
-        lipschitz(action[0], peak)
-    gram, rows = action
-    for a, image in enumerate(rows):
+        lipschitz(action.gram, peak)
+    # Each row is judged at its own scale, so the probe must be clean at the
+    # smallest one; otherwise the rows are formed and checked one by one.
+    action.off_vector(tol * max(1.0, float(np.min(np.max(np.abs(action.block), axis=1)))))
+    for a, image in enumerate(() if action.rows is None else action.rows):
         off_vector = np.where(t.grades == 1, 0.0, image)
         if float(np.max(np.abs(off_vector))) > tol * max(1.0, float(np.max(np.abs(image)))):
             raise NotInLipschitzGroupError(
                 f"conjugation of generator {a + 1} leaves the grade-1 subspace"
             )
 
-    sigma_reverse = gram[0]
+    sigma_reverse = action.gram[0]
     # Only the sign of <conjugate(S) S>_0 is read, and only the diagonal
     # blade pairs reach the scalar: O(2^n) instead of a full product.
     sigma_conjugate = np.sum(s_arr * t.conjugate_signs * s_arr * t.blade_square)
@@ -661,7 +765,7 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
         in_spin_plus=in_spin and sigma_reverse > 0,
         in_pin_plus=is_unit and sigma_conjugate > 0,
         in_pin_minus=is_unit and sigma_reverse > 0,
-    ), rows
+    ), action
 
 
 def forward_matrix(
@@ -673,12 +777,12 @@ def forward_matrix(
     """Matrix of the conjugation action: row a holds grade_involution(S) e_a S^-1.
 
     S must classify into Pin; the result always validates as pseudo-orthogonal.
+    The entries are the action's grade-1 block.
     """
-    t = _get_tables(s.sig)
-    tags, rows = _classify(t, s.coeffs, tol)
+    tags, action = _classify(_get_tables(s.sig), s.coeffs, tol)
     if not tags.in_pin:
         raise NotInPinError("the element is a versor but not normalized to Pin")
-    return validate_pseudo_orthogonal(rows[:, t.grades == 1], s.sig, tol=ortho_tol)
+    return validate_pseudo_orthogonal(action.block, s.sig, tol=ortho_tol)
 
 
 def random_versor(sig: Signature, k: int, seed=None) -> Multivector:

@@ -646,7 +646,8 @@ class TestResidualDefinition:
 class TestTwistedAction:
     """The action of S is formed once per element and read by every consumer."""
 
-    def test_forward_and_recovery_share_one_action(self, monkeypatch):
+    @staticmethod
+    def count_products(monkeypatch):
         real = rotorlift.recovery._product_arrays
         calls = []
 
@@ -655,16 +656,92 @@ class TestTwistedAction:
             return real(t, u, v)
 
         monkeypatch.setattr(rotorlift.recovery, "_product_arrays", counting)
+        return calls
+
+    def test_forward_and_recovery_share_one_action(self, monkeypatch):
+        calls = self.count_products(monkeypatch)
         sig = Signature(3, 3)
         matrix = forward_matrix(random_versor(sig, 2, seed=1))
-        # classification: one gram and n rows, reused as the entries
-        assert len(calls) <= sig.n + 1
+        # classification: the gram and one probe; the entries are the grade-1 block
+        assert len(calls) <= 2
         calls.clear()
         result = recover_spin(matrix)
-        # reverse(N) N, then one gram and n rows for the single candidate,
+        # reverse(N) N, then the gram of the single candidate and one probe,
         # which also classify it; polish runs only above a residual of 1e-11
         assert result.residual <= 1e-11
-        assert len(calls) <= sig.n + 2
+        assert len(calls) <= 3
+
+    def test_two_central_roots_probe_only_the_winner(self, monkeypatch):
+        sig = Signature(3, 2)
+        matrix = forward_matrix(random_versor(sig, 2, seed=1))
+        real = rotorlift.recovery._twisted_action
+        actions = []
+
+        def counting(*args):
+            actions.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(rotorlift.recovery, "_twisted_action", counting)
+        calls = self.count_products(monkeypatch)
+        result = recover_spin(matrix)
+        assert len(actions) == 2  # w^2 = +1 in Cl(3,2): one action per central root
+        assert result.residual <= 1e-11
+        # reverse(N) N, one gram per root, one probe of the winner
+        assert len(calls) <= 4
+
+    def test_polished_input_adds_no_product(self, monkeypatch):
+        matrix, _ = boost_turn(Signature(3, 3), 9.0, 1.0)
+        calls = self.count_products(monkeypatch)
+        result = recover_spin(matrix)
+        assert result.residual <= 1e-11
+        # reverse(N) N, the gram and n full rows of the candidate, one polish
+        # step (correction, normalization, gram and n rows): 17, as when
+        # every action formed its full rows
+        assert 3 < len(calls) <= 17
+
+    @pytest.mark.parametrize("sig", signatures_up_to(7))
+    def test_block_matches_full_rows(self, sig):
+        t = rotorlift.recovery._get_tables(sig)
+        for k in range(5):
+            s = random_versor(sig, k, seed=100 + k)
+            action = rotorlift.recovery._twisted_action(t, s.coeffs)
+            block = action.block  # read before the rows exist
+            # bit for bit: the block is the full product's own sums, in the same order
+            assert np.array_equal(block, action.form_rows()[:, t.grades == 1]), k
+
+    def test_small_off_vector_part_is_read_from_full_rows(self):
+        # S = cos(u) + sin(u) e123456 has S e_a S^-1 = e_a (cos 2u - sin 2u e123456):
+        # its grade-1 block misses the identity by 2u^2, below the polish
+        # threshold, so only the probe sees the off-vector part sin 2u
+        sig = Signature(6, 0)
+        u = 1e-6
+        s = mv(sig, {(): math.cos(u), (1, 2, 3, 4, 5, 6): math.sin(u)})
+        identity = validate_pseudo_orthogonal(np.eye(6), sig)
+        assert twisted_adjoint_residual(s, identity) == pytest.approx(math.sin(2.0 * u), rel=1e-9)
+        with pytest.raises(NotInLipschitzGroupError, match="leaves the grade-1 subspace"):
+            classify_spin(s)
+
+    def test_tolerance_below_the_probe_floor_checks_full_rows(self):
+        # the same element at u = 1e-13: the probe passes it, but the rows
+        # leave grade 1 by 2e-13, more than a tolerance of 1e-14 allows
+        sig = Signature(6, 0)
+        u = 1e-13
+        s = mv(sig, {(): math.cos(u), (1, 2, 3, 4, 5, 6): math.sin(u)})
+        assert classify_spin(s).in_spin
+        with pytest.raises(NotInLipschitzGroupError, match="leaves the grade-1 subspace"):
+            classify_spin(s, tol=1e-14)
+
+    def test_strong_boost_with_small_rows_leaving_grade_one(self):
+        # S = B T in Cl(7,1): B boosts (e7, e8) at rapidity 12, so rows 7 and 8
+        # peak at cosh 12 = 8.1e4, and T = cos u + sin u e123456 sends rows 1-6
+        # to e_a (cos 2u - sin 2u e123456): 1e-7 off grade 1 at their own scale
+        # of 1, which a probe judged at the largest row's scale would pass
+        sig = Signature(7, 1)
+        u = 5e-8
+        boost = mv(sig, {(): math.cosh(6.0), (7, 8): math.sinh(6.0)})
+        s = boost * mv(sig, {(): math.cos(u), (1, 2, 3, 4, 5, 6): math.sin(u)})
+        with pytest.raises(NotInLipschitzGroupError, match="generator 1 leaves the grade-1 subspace"):
+            classify_spin(s)
 
     def test_unit_gram_with_action_leaving_grade_one(self):
         # reverse(S) S = 1, but S e_a S^-1 = -e_a e123456 has grade 5

@@ -264,10 +264,8 @@ class Multivector:
 
     def terms(self, tol: float = 0.0) -> dict[int, float]:
         """Mask -> coefficient for entries with |c| > tol, ascending mask."""
-        out = {}
-        for mask in np.flatnonzero(np.abs(self.coeffs) > tol):
-            out[int(mask)] = float(self.coeffs[mask])
-        return out
+        masks = np.flatnonzero(np.abs(self.coeffs) > tol)
+        return dict(zip(masks.tolist(), self.coeffs[masks].tolist()))
 
     def __repr__(self) -> str:
         parts = []

@@ -2,13 +2,20 @@
 
 Floats are emitted with 17 significant digits so every value round-trips
 exactly; the stdlib encoder has no hook for that, hence the small emitter
-at the bottom.
+at the bottom.  A coefficient map is one numpy selection of the nonzero
+coefficients, keyed by blade labels that are built once per n on the first
+document of that dimension (``_blade_labels``).  The emitter formats each
+container's items into one string apiece, writes plain floats inline, and
+joins the items once, so a 2^n-term document costs little more than
+formatting its floats.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -19,28 +26,29 @@ from .recovery import RotorResult, SpinGroupTags
 
 
 def parse_blade_label(label: str, n: int) -> int:
-    """Inverse of blade_label: '' is the scalar, '12' or '1,12' name blades."""
+    """Inverse of blade_label: '' is the scalar, '12' or '1,12' name blades.
+
+    From n = 10 on, indices are comma-separated, so a label without a comma
+    names a single generator ('5' or '10').
+    """
     label = label.strip()
     if not label:
         return 0
-    if "," in label:
+    if "," in label or n >= 10:
         parts = label.split(",")
-    elif n <= 9:
-        parts = list(label)
     else:
-        raise ParseError(
-            f"blade label {label!r} needs comma-separated indices when n >= 10"
-        )
+        parts = list(label)
     mask = 0
     prev = 0
     for part in parts:
-        try:
-            a = int(part)
-        except ValueError:
-            raise ParseError(f"bad generator index {part!r} in blade label {label!r}") from None
+        part = part.strip()
+        if not (part.isascii() and part.isdigit()):
+            raise ParseError(f"bad generator index {part!r} in blade label {label!r}")
+        a = int(part)
         if not prev < a <= n:
+            commas = ", comma-separated when n >= 10" if n >= 10 else ""
             raise ParseError(
-                f"blade label {label!r} must list ascending generator indices in 1..{n}"
+                f"blade label {label!r} must list ascending generator indices in 1..{n}{commas}"
             )
         mask |= 1 << (a - 1)
         prev = a
@@ -60,11 +68,20 @@ def signature_from_doc(doc) -> Signature:
         raise ParseError(f"bad signature: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
+def _blade_labels(n: int) -> tuple[str, ...]:
+    """blade_label(mask, n) for every mask below 2^n, built once per n."""
+    return tuple(blade_label(mask, n) for mask in range(1 << n))
+
+
+def _coefficient_map(u: Multivector) -> dict[str, float]:
+    """Blade label -> coefficient of ``u.terms(tol=0.0)``: zeros, -0.0 and NaN omitted."""
+    terms = u.terms(tol=0.0)
+    return dict(zip(map(_blade_labels(u.sig.n).__getitem__, terms), terms.values()))
+
+
 def multivector_to_doc(u: Multivector) -> dict:
-    coefficients = {
-        blade_label(mask, u.sig.n): value for mask, value in u.terms(tol=0.0).items()
-    }
-    return {"signature": signature_to_doc(u.sig), "coefficients": coefficients}
+    return {"signature": signature_to_doc(u.sig), "coefficients": _coefficient_map(u)}
 
 
 def multivector_from_doc(doc) -> Multivector:
@@ -87,7 +104,7 @@ def matrix_to_doc(matrix: OrthoMatrix) -> dict:
     return {
         "p": matrix.sig.p,
         "q": matrix.sig.q,
-        "entries": [[float(x) for x in row] for row in matrix.entries],
+        "entries": matrix.entries.tolist(),
     }
 
 
@@ -112,10 +129,7 @@ def frames_to_doc(frames: list[Multivector]) -> dict:
     sig = frames[0].sig
     return {
         "signature": signature_to_doc(sig),
-        "frames": [
-            {blade_label(mask, sig.n): value for mask, value in frame.terms(tol=0.0).items()}
-            for frame in frames
-        ],
+        "frames": [_coefficient_map(frame) for frame in frames],
     }
 
 
@@ -218,43 +232,41 @@ def _parse_json(text: str):
 
 def dumps(value, indent: int = 2) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
-    pieces: list[str] = []
-    _emit(value, indent, 0, pieces)
-    return "".join(pieces)
+    return _emit(value, indent, 0)
 
 
-def _emit(value, indent: int, level: int, out: list[str]) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(value, indent: int, level: int) -> str:
+    # A plain float is formatted inline: result documents hold up to 2^n of
+    # them.  Every other item goes through _emit, one level deeper.
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(item, indent, level + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _emit(item, indent, level + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(close_pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        items = [
+            f"{encode_basestring_ascii(str(key))}: "
+            + (format(item, ".17g") if type(item) is float else _emit(item, indent, level + 1))
+            for key, item in value.items()
+        ]
+        return _block("{", items, "}", indent, level)
+    if isinstance(value, (list, tuple)):
+        items = [
+            format(item, ".17g") if type(item) is float else _emit(item, indent, level + 1)
+            for item in value
+        ]
+        return _block("[", items, "]", indent, level)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _block(opening: str, items: list[str], closing: str, indent: int, level: int) -> str:
+    """One item per line, indented one level deeper than the closing bracket."""
+    if not items:
+        return opening + closing
+    pad = " " * (indent * (level + 1))
+    return f"{opening}\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * (indent * level) + closing

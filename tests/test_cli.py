@@ -119,6 +119,19 @@ class TestFrames:
         doc = json.loads(capsys.readouterr().out)
         assert doc["S"]["coefficients"] == {"": 1.0}
 
+    def test_frames_in_ten_dimensions(self, tmp_path, capsys):
+        # every key of a frames document is a single index, "10" included
+        sig = Signature(5, 5)
+        turn = Multivector.from_terms(sig, {(): math.cos(0.3), (1, 2): math.sin(0.3)})
+        boost = Multivector.from_terms(sig, {(): math.cosh(0.4), (1, 10): math.sinh(0.4)})
+        rotor = turn * boost
+        frames = [Multivector.from_vector(sig, row) for row in forward_matrix(rotor).entries]
+        path = write(tmp_path, "f.json", frames_to_doc(frames))
+        assert main(["frames", "--input", path]) == 0
+        coeffs = json.loads(capsys.readouterr().out)["S"]["coefficients"]
+        assert set(coeffs) == {"", "1,2", "1,10", "2,10"}
+        assert abs(coeffs["1,2"] - rotor.coeffs[0b11]) < 1e-12
+
     def test_non_frame_exit_code(self, tmp_path, capsys):
         doc = {"signature": {"p": 2, "q": 0}, "frames": [{"1": 1.0}, {"1": 1.0, "2": 1.0}]}
         path = write(tmp_path, "f.json", doc)

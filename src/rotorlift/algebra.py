@@ -352,16 +352,18 @@ def _product_arrays(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> np.nda
     return np.einsum("hcb,hmb->mc", left, right).ravel()
 
 
-def _vector_parts(t: _SignatureTables, us: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Grade-1 coefficients of u * v for each row u of ``us``, stacked k x n.
+def _scalar_vector_parts(t: _SignatureTables, us: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Scalar and grade-1 coefficients of u * v for each row u of ``us``, stacked k x (1 + n).
 
-    ``_product_arrays`` restricted to its grade-1 outputs: out[0, C] for C
-    a single low generator and out[M, 0] for M a single high one, O(n 2^n)
-    per output row instead of 4^n.  The gathers keep the kernel's layout, and
-    each contraction whose outputs are kept has at least two entries on its
-    c or m axis, as the full product has (singletons on both would let
-    einsum merge the h and b loops).  So einsum sums every output in the
-    same order, and the values equal those of the full product bit for bit.
+    ``_product_arrays`` restricted to its outputs of grade 0 and 1: out[0, C]
+    for C empty or a single low generator and out[M, 0] for M a single high
+    one, O(n 2^n) per output row instead of 4^n.  Column 0 is the scalar.  The
+    gathers keep the kernel's layout, and each contraction whose outputs are
+    kept has at least two entries on its c or m axis, as the full product has
+    (singletons on both would let einsum merge the h and b loops).  So einsum
+    sums every output in the same order, and the values equal those of the
+    full product bit for bit.  (At n = 1 the scalar is a sum of two terms,
+    which every order adds alike.)
     """
     low_bits = t.n // 2
     low = [0] + [1 << j for j in range(low_bits)]
@@ -370,7 +372,7 @@ def _vector_parts(t: _SignatureTables, us: np.ndarray, v: np.ndarray) -> np.ndar
     left = us.reshape((-1,) + shape).take(t.low_xor[low], axis=2) * t.left_signs[:, low]
     right = v.reshape(shape).take(t.high_xor[:, high], axis=0) * t.high_signs[:, high]
     return np.concatenate([
-        np.einsum("ahcb,hmb->amc", left, right[:, :1])[:, 0, 1:],
+        np.einsum("ahcb,hmb->amc", left, right[:, :1])[:, 0, :],
         np.einsum("ahcb,hmb->amc", left[:, :, :1], right)[:, 1:, 0],
     ], axis=1)
 

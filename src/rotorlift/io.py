@@ -126,6 +126,8 @@ def matrix_from_doc(doc) -> tuple[np.ndarray, Signature]:
 
 
 def frames_to_doc(frames: list[Multivector]) -> dict:
+    if not frames:
+        raise ValueError("need at least one frame vector")
     sig = frames[0].sig
     return {
         "signature": signature_to_doc(sig),

@@ -26,6 +26,17 @@ leaves grade 1.  The n full rows are formed only when the probe is not
 clean at its reader's bound, or when the block defect already calls for the
 polish, which linearizes around them.  The residual is the larger of the block
 defect max |M - P| and the rows' off-vector peak, over max(1, entry peak).
+
+``classify_spin`` and ``forward_matrix``, which are not handed an action,
+make no dense product when a commutation-defect certificate settles their
+checks (``_Action.certificate``): the scalar of reverse(S)*S comes from the
+O(n 2^n) contraction that reads the block, and the defects D_a =
+grade_involution(S) e_a - P_a S and E_a = e_a S - grade_involution(S) Q_a
+(Q the inverse of the block P) are sums of signed permutations of S,
+O(n^2 2^n) in all.  They bound every off-scalar coefficient of
+reverse(S)*S and every off-vector coefficient of the rows.  Where a bound is
+above its check's tolerance, that check is decided as before: the dense
+gram, then the probe, then the rows.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ from .algebra import (
     _blade_mul_right,
     _get_tables,
     _product_arrays,
+    _scalar_vector_parts,
     _vector_mul_right,
-    _vector_parts,
     pseudoscalar_square,
 )
 from .errors import (
@@ -78,6 +89,13 @@ _POLISH_THRESHOLD = 1e-11
 # Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
 # _Action.off_vector): fixed, so that results repeat bit for bit.
 _PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
+# Unit roundoff of float64, and the multiple c of eps |S|^2 (|S| the 2-norm of
+# the coefficients) that classify_spin allows for rounding in the scalar of
+# reverse(S)*S, and over |lambda| in each computed row.  Over boosts at
+# rapidity 0-30 times random_versor(sig, k), k = 0-4, in Cl(1,2) to Cl(5,4),
+# the measured ratio peaked at 1.5 (rows) and 5.3 (scalar).
+_EPS = float(np.finfo(np.float64).eps)
+_ROUNDOFF_FLOOR = 8.0
 # Coefficients at or below this are treated as zero when picking the
 # canonical representative of the +-S pair.
 CANONICAL_COEFF_TOLERANCE = 1e-9
@@ -263,6 +281,11 @@ def _gram(t, s_arr: np.ndarray) -> np.ndarray:
     return _product_arrays(t, s_arr * t.reverse_signs, s_arr)
 
 
+def _gram_scalar(t, s_arr: np.ndarray) -> float:
+    """<reverse(S)*S>_0 in O(n 2^n), equal to ``_gram(t, s_arr)[0]`` bit for bit."""
+    return _scalar_vector_parts(t, (s_arr * t.reverse_signs)[None], s_arr)[0, 0]
+
+
 def _off_scalar(gram: np.ndarray) -> float:
     """Largest coefficient of reverse(S)*S off the scalar blade."""
     return float(np.max(np.abs(gram[1:])))
@@ -277,29 +300,37 @@ def _usable_gram(gram: np.ndarray, peak: float) -> bool:
 class _Action:
     """The twisted action of S on the generators, shared by S and -S.
 
-    ``gram`` is reverse(S)*S.  The rest exists only when the gram is
-    admitted: ``block``, ``rows`` and the probe are None otherwise.  ``rows``,
-    the full rows grade_involution(S) e_a S^-1 stacked n x 2^n, stay None
-    until ``form_rows()`` or ``off_vector()`` forms them.
+    ``lam`` is the scalar of reverse(S)*S and ``gram`` the whole of it, a
+    dense product that ``_twisted_action`` forms to admit S; it is None in
+    an action that ``_classify`` builds for its certificate.  The rest
+    exists only when S is admitted: ``block``, ``rows`` and the probe are
+    None otherwise.  ``rows``, the full rows grade_involution(S) e_a S^-1
+    stacked n x 2^n, stay None until ``form_rows()`` or ``off_vector()``
+    forms them.  Each is read from V_a =
+    grade_involution(S) e_a, a signed permutation of S, and S^-1 =
+    reverse(S) / lam: row a is the product V_a S^-1.
     """
 
-    __slots__ = ("t", "gram", "rows", "_block", "_images", "_inverse", "_probe_off")
+    __slots__ = ("t", "s", "lam", "gram", "rows", "_block", "_images", "_inverse", "_probe_off")
 
-    def __init__(self, t, gram, images=None, inverse=None):
-        self.t, self.gram = t, gram
-        self._images, self._inverse = images, inverse
-        self.rows = self._block = self._probe_off = None
+    def __init__(self, t, s_arr, lam, gram=None, admitted=True):
+        self.t, self.s, self.lam, self.gram = t, s_arr, lam, gram
+        self.rows = self._block = self._probe_off = self._images = self._inverse = None
+        if admitted:
+            self._inverse = (s_arr * t.reverse_signs) / lam
+            hat = s_arr * t.grade_signs
+            self._images = np.stack([_blade_mul_right(t, hat, 1 << a) for a in range(t.n)])
 
     @property
     def block(self) -> np.ndarray | None:
         """The n x n grade-1 block of the rows, formed once.
 
-        Read by ``_vector_parts`` in O(n^2 2^n) while the rows are not
+        Read by ``_scalar_vector_parts`` in O(n^2 2^n) while the rows are not
         formed, and sliced from them after; the two agree bit for bit.
         """
         if self._block is None and self._images is not None:
             if self.rows is None:
-                self._block = _vector_parts(self.t, self._images, self._inverse)
+                self._block = _scalar_vector_parts(self.t, self._images, self._inverse)[:, 1:]
             else:
                 self._block = self.rows[:, self.t.grades == 1]
         return self._block
@@ -309,6 +340,67 @@ class _Action:
         if self.rows is None and self._images is not None:
             self.rows = np.stack([_product_arrays(self.t, u, self._inverse) for u in self._images])
         return self.rows
+
+    def defects(self) -> tuple[np.ndarray, np.ndarray]:
+        """The commutation defects D = V - P U and E = U - Q V, each n x 2^n.
+
+        U_b = e_b S and V_a = grade_involution(S) e_a are signed permutations
+        of S, P is the block and Q = eta P^T eta the inverse it stands for
+        (eta the metric), so D_a = V_a - P_a S and E_a = U_a -
+        grade_involution(S) Q_a with P_a, Q_a the rows as vectors.  Both
+        vanish exactly when S is in the Lipschitz group and P is its action.
+        O(n^2 2^n), no BLAS.
+        """
+        t = self.t
+        lefts = np.stack([_blade_mul_left(t, self.s, 1 << b) for b in range(t.n)])
+        inverse_block = t.metric[:, None] * self.block.T * t.metric
+        return (self._images - np.einsum("ab,bk->ak", self.block, lefts),
+                lefts - np.einsum("ab,bk->ak", inverse_block, self._images))
+
+    def certificate(self) -> tuple[float, np.ndarray]:
+        """Bounds (g, r) that settle the Lipschitz checks with no dense product.
+
+        g bounds every coefficient of G = reverse(S)*S off the scalar blade,
+        and r[a] the off-vector peak of row a, for the exact rows
+        grade_involution(S) e_a reverse(S) / lam.  With D, E from ``defects()``,
+        H = S*reverse(S) and x^ the grade involution, for any S, P and Q:
+
+            G^ e_a - e_a G = reverse(S)^ D_a + reverse(D_a)^ S
+            H^ e_a - e_a H = -S^ reverse(E_a)^ - E_a reverse(S)
+
+        For a blade e_B, e_B^ e_a - e_a e_B is +-2 e_B e_a when a is in B and
+        0 otherwise, so each coefficient G_B, B nonempty, appears with factor
+        +-2 in the left side for every a in B; and a coefficient of a product
+        is at most the product of the factors' 2-norms (Cauchy-Schwarz).  So
+        |G_B| <= max_a |D_a| |S| = g and |H_B| <= max_a |E_a| |S| = h, with
+        |.| the 2-norm.  H has the scalar of G, so H - <H>_0 has no
+        coefficient above h, and the rows satisfy
+
+            row_a - P_a = (P_a (H - <H>_0) + D_a reverse(S)) / lam,
+
+        whose off-vector coefficients are at most r[a] = (|P_a|_1 h +
+        |D_a| |S|) / |lam|, with |P_a|_1 the row's 1-norm.
+
+        Rounding: a computed coefficient of D_a is V_a - sum_b P_ab U_b up to
+        gamma_{n+1} (|V_a| + sum_b |P_ab| |U_b|) (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, ch. 3), and U_b, V_a have the
+        2-norm |S|, so the computed D_a is within (n + 2) eps (1 + |P_a|_1) |S|
+        of the exact one in 2-norm; |Q_a|_1 takes the place of |P_a|_1 for
+        E_a.  np.sum adds the squares of a norm pairwise over blocks of at most
+        128 (16 terms in each of 8 lanes), so a computed norm is within
+        (n + 14) eps / 2 of the exact one, relatively.  Each norm is therefore
+        taken as (1 + (n + 14) eps) times its computed value, which also
+        covers the few rounded operations that combine the norms into g and r.
+        """
+        t, block = self.t, self.block
+        grow = 1.0 + (t.n + 14) * _EPS
+        slack = (t.n + 2) * _EPS
+        norm = math.sqrt(float(np.sum(self.s * self.s))) * grow
+        d, e = (np.sqrt(np.sum(x * x, axis=1)) * grow for x in self.defects())
+        p_norms = np.sum(np.abs(block), axis=1)
+        d_bounds = (d + slack * (1.0 + p_norms) * norm) * norm
+        h = float(np.max((e + slack * (1.0 + np.sum(np.abs(block), axis=0)) * norm) * norm))
+        return float(np.max(d_bounds)), (p_norms * h + d_bounds) / abs(self.lam)
 
     def off_vector(self, bound: float) -> float:
         """Largest coefficient of the rows off grade 1, exact whenever it exceeds ``bound``.
@@ -339,17 +431,10 @@ def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram) -> _Action:
     """The action of S: one product for reverse(S)*S, and the rest on demand.
 
     Only an action whose gram ``admit(gram, coefficient peak of S)`` accepts
-    can form its block, rows or probe.  Each is read from U_a =
-    grade_involution(S) e_a, a signed permutation of S, and S^-1: row a is
-    the product U_a S^-1.
+    can form its block, rows or probe.
     """
     gram = _gram(t, s_arr)
-    if not admit(gram, float(np.max(np.abs(s_arr)))):
-        return _Action(t, gram)
-    inverse = (s_arr * t.reverse_signs) / gram[0]
-    hat = s_arr * t.grade_signs
-    images = np.stack([_blade_mul_right(t, hat, 1 << a) for a in range(t.n)])
-    return _Action(t, gram, images, inverse)
+    return _Action(t, s_arr, gram[0], gram, admit(gram, float(np.max(np.abs(s_arr)))))
 
 
 def _embed_rows(t, entries: np.ndarray) -> np.ndarray:
@@ -400,6 +485,10 @@ def _bivector_step(t, p_cur: np.ndarray, delta: np.ndarray) -> np.ndarray:
     has row a equal to -2 m_a P_cur[b], row b equal to 2 m_b P_cur[a] and zeros
     elsewhere.  The least-squares fit of delta is solved by modified
     Gram-Schmidt on [design | delta] and back substitution (Bjorck 1967).
+    Column k's norm and its products with the later columns come from one
+    einsum without ``optimize``, and the back substitution runs by columns,
+    so, like the product kernel, the step calls no BLAS and repeats bit for
+    bit on any build.
     """
     first, second = np.triu_indices(t.n, 1)
     m = len(first)
@@ -410,13 +499,15 @@ def _bivector_step(t, p_cur: np.ndarray, delta: np.ndarray) -> np.ndarray:
     q = columns.reshape(m + 1, -1)
     r = np.zeros((m, m + 1))
     for k in range(m):
-        r[k, k] = math.sqrt(q[k] @ q[k])
+        dots = np.einsum("ji,i->j", q[k:], q[k])
+        r[k, k] = math.sqrt(dots[0])
+        r[k, k + 1:] = dots[1:] / r[k, k]
         q[k] /= r[k, k]
-        r[k, k + 1:] = q[k + 1:] @ q[k]
         q[k + 1:] -= np.outer(r[k, k + 1:], q[k])
-    x = np.zeros(m)
+    x = r[:, m].copy()
     for k in reversed(range(m)):
-        x[k] = (r[k, m] - r[k, k + 1:m] @ x[k + 1:]) / r[k, k]
+        x[k] /= r[k, k]
+        x[:k] -= r[:k, k] * x[k]
     bivector = np.zeros(t.size)
     bivector[(1 << first) | (1 << second)] = x
     return bivector
@@ -707,7 +798,12 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
     by S preserves grade-1 vectors; the flags then follow from the signs of
     reverse(S)*S and conjugate(S)*S.  An element passing the structural
     checks but with non-unit scalar gets all-false flags (it is a versor but
-    not normalized).
+    not normalized).  Row a may leave grade 1 by ``tol`` * max(1, its peak)
+    and the scalar may miss +-1 by ``tol``, each plus the roundoff floor of
+    8 eps |S|^2 (over |lambda| for a row), |S| the 2-norm of the
+    coefficients: strong boosts round at that size.  The commutation-defect
+    certificate settles both structural checks without a dense product
+    for most versors; otherwise the dense gram, the probe and the rows decide.
     """
     return _classify(_get_tables(s.sig), s.coeffs, tol)[0]
 
@@ -715,8 +811,9 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
 def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
     """classify_spin on a coefficient array, also returning the action.
 
-    ``action`` is the action of S or of -S (they coincide) if already known;
-    one without a block is formed again under this function's own gram check.
+    ``action`` is the action of S or of -S (they coincide) if already known,
+    and its dense gram decides the gram check.  Otherwise an action is built
+    on the scalar of reverse(S)*S alone and its certificate is tried first.
     """
     peak = float(np.max(np.abs(s_arr)))
     if peak == 0.0:
@@ -739,25 +836,39 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
             raise NotInLipschitzGroupError("S is not invertible")
         return True
 
-    if action is None or action.block is None:
-        action = _twisted_action(t, s_arr, lipschitz)
-    else:
+    certified = None
+    if action is not None and action.block is not None:
         lipschitz(action.gram, peak)
-    # Each row is judged at its own scale, so the probe must be clean at the
-    # smallest one; otherwise the rows are formed and checked one by one.
-    action.off_vector(tol * max(1.0, float(np.min(np.max(np.abs(action.block), axis=1)))))
-    for a, image in enumerate(() if action.rows is None else action.rows):
-        off_vector = np.where(t.grades == 1, 0.0, image)
-        if float(np.max(np.abs(off_vector))) > tol * max(1.0, float(np.max(np.abs(image)))):
-            raise NotInLipschitzGroupError(
-                f"conjugation of generator {a + 1} leaves the grade-1 subspace"
-            )
+    else:
+        lam = _gram_scalar(t, s_arr)
+        if abs(lam) > tol:
+            action = _Action(t, s_arr, lam)
+            g, certified = action.certificate()
+            # Where the certificate does not settle the gram, the dense one decides.
+            if not g <= tol * max(1.0, abs(lam), peak * peak):
+                lipschitz(_gram(t, s_arr), peak)
+        else:
+            action = _twisted_action(t, s_arr, lipschitz)  # rejects a scalar this small
+    # Rounding adds up to about eps |S|^2 / |lambda| to each computed row.
+    spread = _ROUNDOFF_FLOOR * _EPS * float(np.sum(s_arr * s_arr))
+    floor = spread / abs(action.lam)
+    row_peaks = np.max(np.abs(action.block), axis=1)
+    if certified is None or not np.all(certified <= tol * np.maximum(1.0, row_peaks)):
+        # Each row is judged at its own scale, so the probe must be clean at the
+        # smallest one; otherwise the rows are formed and checked one by one.
+        action.off_vector(tol * max(1.0, float(np.min(row_peaks))) + floor)
+        for a, image in enumerate(() if action.rows is None else action.rows):
+            off_vector = float(np.max(np.abs(np.where(t.grades == 1, 0.0, image))))
+            if off_vector > tol * max(1.0, float(np.max(np.abs(image)))) + floor:
+                raise NotInLipschitzGroupError(
+                    f"conjugation of generator {a + 1} leaves the grade-1 subspace"
+                )
 
-    sigma_reverse = action.gram[0]
+    sigma_reverse = action.lam
     # Only the sign of <conjugate(S) S>_0 is read, and only the diagonal
     # blade pairs reach the scalar: O(2^n) instead of a full product.
     sigma_conjugate = np.sum(s_arr * t.conjugate_signs * s_arr * t.blade_square)
-    is_unit = abs(abs(sigma_reverse) - 1.0) <= tol
+    is_unit = abs(abs(sigma_reverse) - 1.0) <= tol + spread
     in_spin = is_unit and is_even
     return SpinGroupTags(
         in_pin=is_unit,

@@ -254,6 +254,8 @@ class TestFramesDocs:
     def test_empty_frames_rejected(self):
         with pytest.raises(ParseError):
             frames_from_doc({"signature": {"p": 1, "q": 0}, "frames": []})
+        with pytest.raises(ValueError, match="need at least one frame vector"):
+            frames_to_doc([])
 
 
 class TestPrecisionEmitter:

@@ -42,6 +42,7 @@ from rotorlift import (
 from helpers import (
     exp_series,
     max_diff,
+    random_multivector,
     rodrigues_rows,
     rotation_plane_bivector,
     signatures_up_to,
@@ -558,6 +559,17 @@ class TestClassifySpin:
         assert tags.in_spin and not tags.in_spin_plus
         assert not tags.in_pin_minus and not tags.in_pin_plus
 
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (3, 3)])
+    def test_exact_strong_boost_rotors_are_spin_plus(self, p, q):
+        # S = cosh(r/2) + sinh(r/2) e1 e_{p+1}: the untouched rows carry roundoff
+        # of about eps |S|^2 = eps cosh r, above 1e-8 at their own scale of 1 from
+        # r = 20 on, and reverse(S) S misses 1 by as much
+        sig = Signature(p, q)
+        for rapidity in np.arange(0.0, 30.5, 0.5):
+            s = mv(sig, {(): math.cosh(rapidity / 2.0), (1, p + 1): math.sinh(rapidity / 2.0)})
+            assert classify_spin(s).in_spin_plus, rapidity
+            assert classify_spin(2.0 * s).group_names() == [], rapidity
+
     def test_scaled_scalar_is_not_pin(self):
         tags = classify_spin(Multivector.scalar(Signature(2, 0), 2.0))
         assert not tags.in_pin and not tags.in_spin
@@ -662,8 +674,9 @@ class TestTwistedAction:
         calls = self.count_products(monkeypatch)
         sig = Signature(3, 3)
         matrix = forward_matrix(random_versor(sig, 2, seed=1))
-        # classification: the gram and one probe; the entries are the grade-1 block
-        assert len(calls) <= 2
+        # the commutation-defect certificate settles the gram and the rows; the
+        # entries are the grade-1 block
+        assert len(calls) == 0
         calls.clear()
         result = recover_spin(matrix)
         # reverse(N) N, then the gram of the single candidate and one probe,
@@ -760,6 +773,119 @@ class TestTwistedAction:
         s = mv(sig, {(): 1.0, (1, 2, 3, 4): 1.0})
         identity = validate_pseudo_orthogonal(np.eye(6), sig)
         assert twisted_adjoint_residual(s, identity) == math.inf
+
+
+class TestCommutationCertificate:
+    """Bounds on reverse(S) S and on the rows from the defects D = V - P U, E = U - Q V."""
+
+    @staticmethod
+    def action(sig, s, block):
+        t = rotorlift.recovery._get_tables(sig)
+        action = rotorlift.recovery._Action(t, s.coeffs, rotorlift.recovery._gram_scalar(t, s.coeffs))
+        action._block = block
+        return action
+
+    @staticmethod
+    def hat(x):
+        return involution(x, "grade")
+
+    @staticmethod
+    def rev(x):
+        return involution(x, "reverse")
+
+    @staticmethod
+    def elements(sig):
+        """Random non-versors with random blocks, and 1 + e_n / 2 with the identity block.
+
+        For the latter only D_n is nonzero, and rows a < n leave grade 1 through
+        H = S reverse(S) = 1 + e_n^2 / 4 + e_n alone.
+        """
+        rng = np.random.default_rng(sig.n)
+        for _ in range(3):
+            yield random_multivector(sig, rng), rng.standard_normal((sig.n, sig.n))
+        yield mv(sig, {(): 1.0, (sig.n,): 0.5}), np.eye(sig.n)
+
+    @pytest.mark.parametrize("sig", signatures_up_to(7))
+    def test_scalar_equals_the_dense_gram_bit_for_bit(self, sig):
+        t = rotorlift.recovery._get_tables(sig)
+        rng = np.random.default_rng(sig.n)
+        for s in [random_versor(sig, k, seed=300 + k) for k in range(5)] + [random_multivector(sig, rng)]:
+            assert rotorlift.recovery._gram_scalar(t, s.coeffs) == rotorlift.recovery._gram(t, s.coeffs)[0]
+
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
+    def test_identities_hold_for_any_element_and_block(self, sig):
+        for s, block in self.elements(sig):
+            d, e = self.action(sig, s, block).defects()
+            g = geometric_product(self.rev(s), s)
+            h = geometric_product(s, self.rev(s))
+            scale = s.norm() ** 2 * (1.0 + np.sum(np.abs(block)))
+            for a in range(sig.n):
+                e_a = Multivector.basis_vector(sig, a + 1)
+                d_a, e_a_defect = Multivector(sig, d[a]), Multivector(sig, e[a])
+                left = self.hat(g) * e_a - e_a * g
+                right = self.hat(self.rev(s)) * d_a + self.hat(self.rev(d_a)) * s
+                assert max_diff(left, right) <= 1e-13 * scale
+                left = self.hat(h) * e_a - e_a * h
+                right = -(self.hat(s) * self.hat(self.rev(e_a_defect))) - e_a_defect * self.rev(s)
+                assert max_diff(left, right) <= 1e-13 * scale
+                # every blade containing e_a is bounded by this row's defect
+                containing = (np.arange(1 << sig.n) >> a) & 1 == 1
+                norm = s.norm()
+                assert np.all(np.abs(g.coeffs[containing]) <= np.linalg.norm(d[a]) * norm * (1 + 1e-12))
+                assert np.all(np.abs(h.coeffs[containing]) <= np.linalg.norm(e[a]) * norm * (1 + 1e-12))
+
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
+    def test_certificate_bounds_the_gram_and_the_rows(self, sig):
+        vector_slots = rotorlift.recovery._get_tables(sig).grades == 1
+        for s, block in self.elements(sig):
+            bound, row_bounds = self.action(sig, s, block).certificate()
+            g = geometric_product(self.rev(s), s)
+            assert np.max(np.abs(g.coeffs[1:])) <= bound
+            for a in range(sig.n):
+                e_a = Multivector.basis_vector(sig, a + 1)
+                row = geometric_product(self.hat(s) * e_a, self.rev(s)).coeffs / g.scalar_part
+                assert np.max(np.abs(row[~vector_slots])) <= row_bounds[a], a
+
+    def test_settles_versors_without_a_dense_product(self, monkeypatch):
+        calls = TestTwistedAction.count_products(monkeypatch)
+        for sig in signatures_up_to(6):
+            for k in range(5):
+                forward_matrix(random_versor(sig, k, seed=200 + k))
+                assert not calls, (sig, k)
+
+    @staticmethod
+    def undecided(name):
+        """Elements whose checks the certificate leaves to the dense gram, the probe and the rows."""
+        six = Signature(6, 0)
+        if name == "small rotation off grade 1":
+            return mv(six, {(): math.cos(1e-6), (1, 2, 3, 4, 5, 6): math.sin(1e-6)}), 1e-8
+        if name == "tolerance below the probe floor":
+            return mv(six, {(): math.cos(1e-13), (1, 2, 3, 4, 5, 6): math.sin(1e-13)}), 1e-14
+        if name == "strong boost with small rows off grade 1":
+            sig = Signature(7, 1)
+            boost = mv(sig, {(): math.cosh(6.0), (7, 8): math.sinh(6.0)})
+            return boost * mv(sig, {(): math.cos(5e-8), (1, 2, 3, 4, 5, 6): math.sin(5e-8)}), 1e-8
+        if name == "unit gram":
+            return mv(six, {(): 2.0 ** -0.5, (1, 2, 3, 4, 5, 6): 2.0 ** -0.5}), 1e-8
+        return mv(six, {(): 1.0, (1, 2, 3, 4): 1.0}), 1e-8
+
+    @pytest.mark.parametrize("name, message", [
+        ("small rotation off grade 1", "generator 1 leaves the grade-1 subspace"),
+        ("tolerance below the probe floor", "generator 1 leaves the grade-1 subspace"),
+        ("strong boost with small rows off grade 1", "generator 1 leaves the grade-1 subspace"),
+        ("unit gram", "generator 1 leaves the grade-1 subspace"),
+        ("non-scalar gram", "not a real scalar"),
+    ])
+    def test_undecided_elements_keep_their_errors(self, name, message):
+        s, tol = self.undecided(name)
+        t = rotorlift.recovery._get_tables(s.sig)
+        action = rotorlift.recovery._Action(t, s.coeffs, rotorlift.recovery._gram_scalar(t, s.coeffs))
+        bound, row_bounds = action.certificate()
+        settled = (bound <= tol * max(1.0, abs(action.lam), s.max_abs() ** 2)
+                   and np.all(row_bounds <= tol * np.maximum(1.0, np.max(np.abs(action.block), axis=1))))
+        assert not settled
+        with pytest.raises(NotInLipschitzGroupError, match=message):
+            classify_spin(s, tol=tol)
 
 
 def boost_turn(sig, rapidity, angle):

@@ -377,6 +377,24 @@ def _scalar_vector_parts(t: _SignatureTables, us: np.ndarray, v: np.ndarray) -> 
     ], axis=1)
 
 
+def _central_parts(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Scalar and pseudoscalar coefficients of u * v, equal to the full product's bit for bit.
+
+    ``_product_arrays`` restricted to c in {0, all low bits} and m in {0, all
+    high bits}, O(2^n) instead of 4^n.  As in ``_scalar_vector_parts``, both
+    axes keep two entries, so einsum sums the kept outputs in the full
+    product's order.
+    """
+    low_bits = t.n // 2
+    low = [0, (1 << low_bits) - 1]
+    high = [0, (1 << (t.n - low_bits)) - 1]
+    shape = (len(t.high_xor), len(t.low_xor))
+    left = u.reshape(shape).take(t.low_xor[low], axis=1) * t.left_signs[:, low]
+    right = v.reshape(shape).take(t.high_xor[:, high], axis=0) * t.high_signs[:, high]
+    out = np.einsum("hcb,hmb->mc", left, right)
+    return float(out[0, 0]), float(out[1, 1])
+
+
 def _blade_mul_right(t: _SignatureTables, arr: np.ndarray, mask: int, scale: float = 1.0) -> np.ndarray:
     """arr * (scale * e_mask); a signed permutation of the coefficients."""
     signs = t.right_rows.get(mask)

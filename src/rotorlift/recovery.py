@@ -37,6 +37,16 @@ O(n^2 2^n) in all.  They bound every off-scalar coefficient of
 reverse(S)*S and every off-vector coefficient of the rows.  Where a bound is
 above its check's tolerance, that check is decided as before: the dense
 gram, then the probe, then the rows.
+
+From n0 = ``_LIFT_CERTIFICATE_DIMENSION`` on, ``recover_spin`` verifies its
+candidate the same way (``_certified_winner``): the central part of
+reverse(N)*N is read from two slots of the product kernel, the candidates
+are admitted on lambda and compared on their blocks, and the winner's
+certificate, plus the rounding of the dense product each check would make,
+settles its admission, the "reverse(N)*N is not central" check
+(``_non_central_bound``) and the rows of the residual.  Each check it does
+not settle runs its dense form, so every decision is the one below n0; an
+unpolished lift that the certificate settles makes no dense product.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .algebra import (
     Signature,
     _blade_mul_left,
     _blade_mul_right,
+    _central_parts,
     _get_tables,
     _product_arrays,
     _scalar_vector_parts,
@@ -89,6 +100,11 @@ _POLISH_THRESHOLD = 1e-11
 # Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
 # _Action.off_vector): fixed, so that results repeat bit for bit.
 _PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
+# Dimension n0 from which recover_spin verifies its candidate by the
+# commutation-defect certificate (see _certified_winner) instead of dense
+# products.  Below it the certificate's fixed cost, about 20 numpy calls,
+# exceeds the dense products it saves.
+_LIFT_CERTIFICATE_DIMENSION = 8
 # Unit roundoff of float64, and the multiple c of eps |S|^2 (|S| the 2-norm of
 # the coefficients) that classify_spin allows for rounding in the scalar of
 # reverse(S)*S, and over |lambda| in each computed row.  Over boosts at
@@ -134,7 +150,10 @@ class RotorResult:
     n = 3 mod 4).  ``residual`` is the largest deviation of the conjugation
     action of S from the rows of the input matrix: the larger of the
     grade-1 block defect max |M - P| and the peak of the rows off grade 1,
-    over max(1, entry peak).
+    over max(1, entry peak).  Where the commutation-defect certificate
+    settles the rows (unpolished lifts from n = 8 on), the off-vector peak
+    is the certificate's bound on it, with the rounding of the dense rows,
+    and the residual is then at most 1e-11 and at most ``residual_tol``.
     """
 
     spin: Multivector
@@ -286,6 +305,28 @@ def _gram_scalar(t, s_arr: np.ndarray) -> float:
     return _scalar_vector_parts(t, (s_arr * t.reverse_signs)[None], s_arr)[0, 0]
 
 
+def _product_rounding(t, norm_u: float, norm_v: float) -> float:
+    """Rounding in any coefficient of a computed product u * v, from the 2-norms |u|, |v|.
+
+    A coefficient is a sum of 2^n terms u_A v_B over distinct A and distinct
+    B, so it is within gamma_{2^n} sum |u_A v_B| <= 2^n eps |u| |v| of the
+    exact one (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3; Cauchy-Schwarz).
+    """
+    return t.size * _EPS * norm_u * norm_v
+
+
+def _norm(t, arr: np.ndarray) -> float:
+    """2-norm of a coefficient array, times 1 + (n + 14) eps for np.sum's rounding.
+
+    np.sum adds the squares pairwise over blocks of at most 128 (16 terms in
+    each of 8 lanes), so the computed norm is within (n + 14) eps / 2 of the
+    exact one, relatively; the factor also covers a few rounded operations
+    that combine such norms into a bound.
+    """
+    return math.sqrt(float(np.sum(arr * arr))) * (1.0 + (t.n + 14) * _EPS)
+
+
 def _off_scalar(gram: np.ndarray) -> float:
     """Largest coefficient of reverse(S)*S off the scalar blade."""
     return float(np.max(np.abs(gram[1:])))
@@ -293,33 +334,52 @@ def _off_scalar(gram: np.ndarray) -> float:
 
 def _usable_gram(gram: np.ndarray, peak: float) -> bool:
     """Whether reverse(S)*S is a nonzero scalar to the residual's tolerance."""
-    lam = abs(gram[0])
-    return not (lam < 1e-9 or _off_scalar(gram) > 1e-6 * max(1.0, lam, peak * peak))
+    return _usable(gram[0], _off_scalar(gram), peak)
+
+
+def _usable(lam: float, off_scalar: float, peak: float) -> bool:
+    """``_usable_gram`` from lambda and the (bound on the) largest off-scalar coefficient."""
+    lam = abs(lam)
+    return not (lam < 1e-9 or off_scalar > 1e-6 * max(1.0, lam, peak * peak))
 
 
 class _Action:
     """The twisted action of S on the generators, shared by S and -S.
 
     ``lam`` is the scalar of reverse(S)*S and ``gram`` the whole of it, a
-    dense product that ``_twisted_action`` forms to admit S; it is None in
-    an action that ``_classify`` builds for its certificate.  The rest
-    exists only when S is admitted: ``block``, ``rows`` and the probe are
-    None otherwise.  ``rows``, the full rows grade_involution(S) e_a S^-1
-    stacked n x 2^n, stay None until ``form_rows()`` or ``off_vector()``
-    forms them.  Each is read from V_a =
+    dense product formed on first use; ``_twisted_action`` forms it at once
+    to admit S, while the actions that ``_classify`` and the certified lift
+    build read ``lam`` alone and form the gram only where their certificate
+    does not settle it.  The rest exists only when S is admitted: ``block``,
+    ``rows`` and the probe are None otherwise.  ``rows``, the full rows
+    grade_involution(S) e_a S^-1 stacked n x 2^n, stay None until
+    ``form_rows()`` or ``off_vector()`` forms them.  Each is read from V_a =
     grade_involution(S) e_a, a signed permutation of S, and S^-1 =
     reverse(S) / lam: row a is the product V_a S^-1.
     """
 
-    __slots__ = ("t", "s", "lam", "gram", "rows", "_block", "_images", "_inverse", "_probe_off")
+    __slots__ = ("t", "s", "lam", "rows", "norm", "_gram", "_block", "_images", "_inverse",
+                 "_probe_off", "_bounds")
 
     def __init__(self, t, s_arr, lam, gram=None, admitted=True):
-        self.t, self.s, self.lam, self.gram = t, s_arr, lam, gram
-        self.rows = self._block = self._probe_off = self._images = self._inverse = None
+        self.t, self.s, self.lam, self._gram = t, s_arr, lam, gram
+        self.rows = self.norm = self._block = self._probe_off = self._images = None
+        self._inverse = self._bounds = None
         if admitted:
             self._inverse = (s_arr * t.reverse_signs) / lam
             hat = s_arr * t.grade_signs
             self._images = np.stack([_blade_mul_right(t, hat, 1 << a) for a in range(t.n)])
+
+    @property
+    def gram(self) -> np.ndarray:
+        """reverse(S)*S, one dense product formed on first use."""
+        if self._gram is None:
+            self._gram = _gram(self.t, self.s)
+        return self._gram
+
+    @property
+    def gram_formed(self) -> bool:
+        return self._gram is not None
 
     @property
     def block(self) -> np.ndarray | None:
@@ -386,21 +446,35 @@ class _Action:
         Stability of Numerical Algorithms*, ch. 3), and U_b, V_a have the
         2-norm |S|, so the computed D_a is within (n + 2) eps (1 + |P_a|_1) |S|
         of the exact one in 2-norm; |Q_a|_1 takes the place of |P_a|_1 for
-        E_a.  np.sum adds the squares of a norm pairwise over blocks of at most
-        128 (16 terms in each of 8 lanes), so a computed norm is within
-        (n + 14) eps / 2 of the exact one, relatively.  Each norm is therefore
-        taken as (1 + (n + 14) eps) times its computed value, which also
-        covers the few rounded operations that combine the norms into g and r.
+        E_a.  Each norm is taken as (1 + (n + 14) eps) times its computed
+        value (see ``_norm``).  Computed once; ``norm`` keeps |S|.
         """
-        t, block = self.t, self.block
-        grow = 1.0 + (t.n + 14) * _EPS
-        slack = (t.n + 2) * _EPS
-        norm = math.sqrt(float(np.sum(self.s * self.s))) * grow
-        d, e = (np.sqrt(np.sum(x * x, axis=1)) * grow for x in self.defects())
-        p_norms = np.sum(np.abs(block), axis=1)
-        d_bounds = (d + slack * (1.0 + p_norms) * norm) * norm
-        h = float(np.max((e + slack * (1.0 + np.sum(np.abs(block), axis=0)) * norm) * norm))
-        return float(np.max(d_bounds)), (p_norms * h + d_bounds) / abs(self.lam)
+        if self._bounds is None:
+            t, block = self.t, self.block
+            grow = 1.0 + (t.n + 14) * _EPS
+            slack = (t.n + 2) * _EPS
+            norm = self.norm = _norm(t, self.s)
+            d, e = (np.sqrt(np.sum(x * x, axis=1)) * grow for x in self.defects())
+            p_norms = np.sum(np.abs(block), axis=1)
+            d_bounds = (d + slack * (1.0 + p_norms) * norm) * norm
+            h = float(np.max((e + slack * (1.0 + np.sum(np.abs(block), axis=0)) * norm) * norm))
+            self._bounds = float(np.max(d_bounds)), (p_norms * h + d_bounds) / abs(self.lam)
+        return self._bounds
+
+    @property
+    def certified(self) -> bool:
+        return self._bounds is not None
+
+    def dense_bounds(self) -> tuple[float, np.ndarray]:
+        """Bounds (g, r) on what the dense gram and the dense rows would read.
+
+        ``certificate()`` bounds the exact values.  The computed product adds
+        at most ``_product_rounding`` to each coefficient, and S^-1 =
+        reverse(S) / lam, rounded, adds eps |S|^2 / |lam| to each row.
+        """
+        g, r = self.certificate()
+        rounding = _product_rounding(self.t, self.norm, self.norm)
+        return g + rounding, r + (rounding + _EPS * self.norm * self.norm) / abs(self.lam)
 
     def off_vector(self, bound: float) -> float:
         """Largest coefficient of the rows off grade 1, exact whenever it exceeds ``bound``.
@@ -452,12 +526,17 @@ def _contract(t, stacked) -> np.ndarray:
     return acc
 
 
+def _entry_scale(matrix: OrthoMatrix) -> float:
+    """max(1, entry peak of P): the scale of the residual and of every check relative to P."""
+    return max(1.0, float(np.max(np.abs(matrix.entries))))
+
+
 def _block_defect(action: _Action, matrix: OrthoMatrix) -> float:
     """max |M - P| over the grade-1 block, scaled; inf when absent or not finite."""
     if action.block is None:
         return math.inf
     worst = float(np.max(np.abs(action.block - matrix.entries)))
-    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
+    scale = _entry_scale(matrix)
     return worst / scale if math.isfinite(worst) else math.inf
 
 
@@ -473,7 +552,7 @@ def _residual(action: _Action, matrix: OrthoMatrix) -> float:
         return math.inf
     if defect > _POLISH_THRESHOLD:
         action.form_rows()
-    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
+    scale = _entry_scale(matrix)
     off = action.off_vector(_POLISH_THRESHOLD * scale) / scale
     return max(defect, off) if math.isfinite(off) else math.inf
 
@@ -548,7 +627,7 @@ def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations
     """
     expected = _embed_rows(t, matrix.entries)
     vector_slots = t.grades == 1
-    scale = max(1.0, float(np.max(np.abs(matrix.entries))))
+    scale = _entry_scale(matrix)
 
     def merit(iterate_action) -> float:
         gram = iterate_action.gram
@@ -614,12 +693,15 @@ def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
     return _residual(_twisted_action(_get_tables(s.sig), s.coeffs), matrix)
 
 
-def _verified(t, arr, action, residual, residual_tol, norm_sign, warning) -> RotorResult:
-    """Verify a candidate and classify its sign-canonical form by the candidate's action."""
+def _verified(t, arr, action, residual, residual_tol, norm_sign, warning, matrix) -> RotorResult:
+    """Verify a candidate and classify its sign-canonical form by the candidate's action.
+
+    The rows are judged at the residual's scale, max(1, entry peak of P).
+    """
     if arr is None or not residual <= residual_tol or not math.isfinite(residual_tol):
         raise VerificationFailedError(residual)
     spin = canonicalize_sign(Multivector(t.sig, arr))
-    groups = _classify(t, spin.coeffs, action=action)[0]
+    groups = _classify(t, spin.coeffs, action=action, row_scale=_entry_scale(matrix))[0]
     return RotorResult(spin, norm_sign, residual, groups, warning)
 
 
@@ -642,7 +724,7 @@ def recover_spin(
     t = _get_tables(sig)
     numerator = spin_numerator(matrix).coeffs
     # N = 2^n S center(S^-1) grows with the entries, so the gate scales with both.
-    scale = float(1 << sig.n) * max(1.0, float(np.max(np.abs(matrix.entries))))
+    scale = float(1 << sig.n) * _entry_scale(matrix)
     peak = float(np.max(np.abs(numerator)))
     if not peak >= scale * degeneracy_tol:  # a NaN tolerance rejects
         raise CenterProjectionVanishesError(
@@ -656,44 +738,181 @@ def recover_spin(
             "the result may be ill-conditioned"
         )
     norm_sign = spinor_norm_sign(matrix)
-    gram = _gram(t, numerator) * float(norm_sign)
-    central = CenterElement(
-        sig, float(gram[0]), float(gram[-1]) if sig.n % 2 == 1 else 0.0
-    )
-    off_center = gram.copy()
-    off_center[0] = 0.0
-    if sig.n % 2 == 1:
-        off_center[-1] = 0.0
-    # Roundoff in the gram scales with the square of the numerator peak (the
-    # intermediate product magnitude), not with the gram itself.
-    if float(np.max(np.abs(off_center))) > 1e-7 * max(1.0, peak * peak):
-        raise VerificationFailedError(
-            float(np.max(np.abs(off_center))),
-            "reverse(N)*N is not central; the input is outside the method's domain",
-        )
+    certify = sig.n >= _LIFT_CERTIFICATE_DIMENSION
+    if certify:
+        scalar, pseudo = _central_parts(t, numerator * t.reverse_signs, numerator)
+        central = CenterElement(sig, scalar * norm_sign, pseudo * norm_sign if sig.n % 2 else 0.0)
+    else:
+        central = _central_gram(t, numerator, norm_sign, peak)
+    try:
+        roots = central_sqrt_candidates(central)
+    except NoRealRootError:
+        if certify:  # a non-central reverse(N)*N is reported first, as below n0
+            _central_gram(t, numerator, norm_sign, peak)
+        raise
+    candidates = _candidates(t, numerator, roots)
     # The candidate roots are compared on their grade-1 blocks alone; the
     # winner's off-vector part is read from its full rows if its block
-    # already calls for the polish, and from one probe product otherwise.
-    best = best_action = None
-    best_defect = math.inf
-    for root in central_sqrt_candidates(central):
-        inverse = _central_inverse(root)
-        if inverse is None:
-            continue
-        arr = numerator * inverse.scalar_part
-        if sig.n % 2 == 1 and inverse.pseudo_part != 0.0:
-            arr = arr + _blade_mul_right(t, numerator, t.full_mask, inverse.pseudo_part)
-        action = _twisted_action(t, arr)
-        defect = _block_defect(action, matrix)
-        if defect < best_defect:
-            best, best_action, best_defect = arr, action, defect
-    best_residual = math.inf if best is None else _residual(best_action, matrix)
+    # already calls for the polish, and from one probe product otherwise
+    # (from n0 on, where its certificate does not settle it).
+    if certify:
+        best, best_action, best_residual = _certified_winner(
+            t, numerator, candidates, matrix, norm_sign, peak, residual_tol)
+    else:
+        _, best, best_action, _ = _choose(t, candidates, matrix, _twisted_action)
+        best_residual = math.inf if best is None else _residual(best_action, matrix)
     # Polishing only pays off when cancellation noise is visible; the bulk of
     # inputs verify far below tolerance straight from the division.
     if math.isfinite(best_residual) and best_residual > _POLISH_THRESHOLD:
         best, best_action = _newton_polish(t, best, best_action, matrix)
         best_residual = _residual(best_action, matrix)
-    return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning)
+    return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning, matrix)
+
+
+def _central_gram(t, numerator: np.ndarray, norm_sign: int, peak: float) -> CenterElement:
+    """Central part of sign * reverse(N)*N from the dense product, which must be central."""
+    gram = _gram(t, numerator) * float(norm_sign)
+    off_center = gram.copy()
+    off_center[0] = 0.0
+    if t.n % 2 == 1:
+        off_center[-1] = 0.0
+    if float(np.max(np.abs(off_center))) > _non_central_limit(peak):
+        raise VerificationFailedError(
+            float(np.max(np.abs(off_center))),
+            "reverse(N)*N is not central; the input is outside the method's domain",
+        )
+    return CenterElement(t.sig, float(gram[0]), float(gram[-1]) if t.n % 2 == 1 else 0.0)
+
+
+def _non_central_limit(peak: float) -> float:
+    """Largest non-central coefficient of reverse(N)*N taken for roundoff.
+
+    Roundoff in the gram scales with the square of the numerator peak (the
+    intermediate product magnitude), not with the gram itself.
+    """
+    return 1e-7 * max(1.0, peak * peak)
+
+
+def _candidates(t, numerator: np.ndarray, roots) -> list:
+    """(Z, N / Z) for each central root Z that has an inverse."""
+    candidates = []
+    for root in roots:
+        inverse = _central_inverse(root)
+        if inverse is None:
+            continue
+        arr = numerator * inverse.scalar_part
+        if t.n % 2 == 1 and inverse.pseudo_part != 0.0:
+            arr = arr + _blade_mul_right(t, numerator, t.full_mask, inverse.pseudo_part)
+        candidates.append((root, arr))
+    return candidates
+
+
+def _light_action(t, s_arr: np.ndarray) -> _Action:
+    """The action of S without its dense gram: admitted while |lambda| >= 1e-9."""
+    lam = _gram_scalar(t, s_arr)
+    return _Action(t, s_arr, lam, admitted=not abs(lam) < 1e-9)
+
+
+def _choose(t, candidates, matrix: OrthoMatrix, make_action, skip_image=False):
+    """(root, S, action, block defect) of the candidate whose grade-1 block is closest to P.
+
+    With ``skip_image``, the second candidate is not read where the first
+    provably wins (``_image_loses``).
+    """
+    best = (None, None, None, math.inf)
+    for root, arr in candidates:
+        if skip_image and best[2] is not None and _image_loses(t, best[2], best[3], matrix):
+            break
+        action = make_action(t, arr)
+        defect = _block_defect(action, matrix)
+        if defect < best[3]:
+            best = (root, arr, action, defect)
+    return best
+
+
+def _image_loses(t, action: _Action, defect: float, matrix: OrthoMatrix) -> bool:
+    """Whether the second candidate, S I, has a larger computed block defect than S.
+
+    Two candidates arise only at odd n with I^2 = +1: the roots are Z and
+    Z I, ``_central_inverse`` gives them the same two floats swapped, and so
+    the second candidate is exactly S I (up to the sign of zeros).  I is
+    central and grade involution negates it, so the exact block of S I is
+    -M.  A computed block is within delta = (2^n + 1) eps |S|^2 (2 + max |M|)
+    / |lambda| of the exact one, from the product's rounding
+    (``_product_rounding``) and lambda's.  So where max |M + P| exceeds
+    2 (defect max(1, entry peak) + 2 delta), the computed defect of S I
+    exceeds that of S, with room for the rounding of the comparison, and S
+    wins as it would if S I were read.
+    """
+    norm = _norm(t, action.s)
+    delta = (_product_rounding(t, norm, norm) * (1.0 + 1.0 / t.size)
+             * (2.0 + float(np.max(np.abs(action.block)))) / abs(action.lam))
+    scale = _entry_scale(matrix)
+    image_defect = float(np.max(np.abs(action.block + matrix.entries)))
+    return image_defect > 2.0 * (defect * scale + 2.0 * delta)
+
+
+def _non_central_bound(t, numerator: np.ndarray, s_arr: np.ndarray, root: CenterElement,
+                       g: float) -> float:
+    """Bound on each non-central coefficient of the computed reverse(N)*N, from S = N / Z.
+
+    Z = alpha + beta I is the central root that S was divided by (beta = 0 at
+    even n, I the pseudoscalar), and g bounds each off-scalar coefficient of
+    reverse(S)*S.  N' = S Z has reverse(N') N' = reverse(Z) Z reverse(S) S, as
+    Z is central, and reverse(Z) Z = c0 + c1 I with |c0| + |c1| <= (|alpha| +
+    |beta|)^2; I maps each non-central blade to another, so each non-central
+    coefficient of reverse(N') N' is at most (|alpha| + |beta|)^2 g.  The
+    division rounds, so N = N' + Delta, and reverse(N) N - reverse(N') N' =
+    reverse(Delta) N + reverse(N') Delta adds at most |Delta| (|N| + |N'|),
+    |N'| <= (|alpha| + |beta|) |S|, |.| the 2-norm.  Delta is computed from
+    S; that adds 2 eps (|alpha| + |beta|) |S| + eps |Delta| to its norm.  The
+    dense product adds its own rounding.
+    """
+    z = abs(root.scalar_part) + abs(root.pseudo_part)
+    s_times_z = s_arr * root.scalar_part
+    if root.pseudo_part != 0.0:
+        s_times_z = s_times_z + _blade_mul_right(t, s_arr, t.full_mask, root.pseudo_part)
+    s_norm, n_norm = _norm(t, s_arr), _norm(t, numerator)
+    delta = _norm(t, numerator - s_times_z) * (1.0 + _EPS) + 2.0 * _EPS * z * s_norm
+    return z * z * g + delta * (n_norm + z * s_norm) + _product_rounding(t, n_norm, n_norm)
+
+
+def _certified_winner(t, numerator, candidates, matrix, norm_sign, peak, residual_tol):
+    """The winning candidate, its action and residual, verified by the certificate where it can.
+
+    Decides what the dense path decides, with the same dense product as the
+    fallback of each check: the candidates are admitted on lambda alone and
+    compared on their blocks (the second only where ``_image_loses`` cannot
+    rule it out); the winner's certificate (``dense_bounds``) admits it where
+    the dense gram would, settles the non-central check on reverse(N)*N
+    through ``_non_central_bound``, and stands in for the probe and the rows
+    where the residual it gives is within both the polish threshold and
+    ``residual_tol``.  A winner whose block already calls for the polish
+    forms its dense gram, which the polish reads anyway.  If the dense gram
+    rejects the winner, every candidate is judged as below n0.
+    """
+    root, best, action, defect = _choose(t, candidates, matrix, _light_action, skip_image=True)
+    if best is not None:
+        peak_s = float(np.max(np.abs(best)))
+        settled = defect <= _POLISH_THRESHOLD and _usable(action.lam, action.dense_bounds()[0], peak_s)
+        if not settled and not _usable_gram(action.gram, peak_s):
+            root, best, action, defect = _choose(t, candidates, matrix, _twisted_action)
+    if best is None:
+        _central_gram(t, numerator, norm_sign, peak)
+        return None, None, math.inf
+    if action.gram_formed:
+        norm = _norm(t, best)
+        g = _off_scalar(action.gram) + _product_rounding(t, norm, norm)
+    else:
+        g = action.certificate()[0]
+    if not _non_central_bound(t, numerator, best, root, g) <= _non_central_limit(peak):
+        _central_gram(t, numerator, norm_sign, peak)
+    if action.certified and defect <= _POLISH_THRESHOLD:
+        scale = _entry_scale(matrix)
+        residual = max(defect, float(np.max(action.dense_bounds()[1])) / scale)
+        if residual <= _POLISH_THRESHOLD and residual <= residual_tol:
+            return best, action, residual
+    return best, action, _residual(action, matrix)
 
 
 def recover_hestenes(
@@ -744,7 +963,8 @@ def recover_hestenes(
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
     normalized, action = _newton_polish(t, normalized, _twisted_action(t, normalized), matrix)
     residual = _residual(action, matrix)
-    return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None)
+    return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None,
+                     matrix)
 
 
 def rotor_from_frames(
@@ -808,12 +1028,15 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
     return _classify(_get_tables(s.sig), s.coeffs, tol)[0]
 
 
-def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
+def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None, row_scale=None):
     """classify_spin on a coefficient array, also returning the action.
 
-    ``action`` is the action of S or of -S (they coincide) if already known,
-    and its dense gram decides the gram check.  Otherwise an action is built
-    on the scalar of reverse(S)*S alone and its certificate is tried first.
+    ``action`` is the action of S or of -S (they coincide) if already known:
+    its dense gram decides the gram check where it is formed, and otherwise
+    the dense bounds of the certificate the lift made are tried first.
+    Without one, an action is built on the scalar of reverse(S)*S alone and
+    its certificate is tried first.  Each row may leave grade 1 by ``tol``
+    times ``row_scale``, or times max(1, its own peak) when that is None.
     """
     peak = float(np.max(np.abs(s_arr)))
     if peak == 0.0:
@@ -836,30 +1059,37 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None):
             raise NotInLipschitzGroupError("S is not invertible")
         return True
 
-    certified = None
-    if action is not None and action.block is not None:
-        lipschitz(action.gram, peak)
-    else:
+    bounds = None
+    if action is None:
         lam = _gram_scalar(t, s_arr)
-        if abs(lam) > tol:
-            action = _Action(t, s_arr, lam)
-            g, certified = action.certificate()
-            # Where the certificate does not settle the gram, the dense one decides.
-            if not g <= tol * max(1.0, abs(lam), peak * peak):
-                lipschitz(_gram(t, s_arr), peak)
-        else:
-            action = _twisted_action(t, s_arr, lipschitz)  # rejects a scalar this small
+        if abs(lam) <= tol:
+            _twisted_action(t, s_arr, lipschitz)  # rejects a scalar this small
+        action = _Action(t, s_arr, lam)
+        bounds = action.certificate()
+    elif action.certified:
+        bounds = action.dense_bounds()
+    g, certified = bounds if bounds is not None else (math.inf, None)
+    # Where the certificate does not settle the gram, the dense one decides.
+    if action.gram_formed or not g <= tol * max(1.0, abs(action.lam), peak * peak):
+        lipschitz(action.gram, peak)
+    elif abs(action.lam) <= tol:
+        raise NotInLipschitzGroupError("S is not invertible")
     # Rounding adds up to about eps |S|^2 / |lambda| to each computed row.
     spread = _ROUNDOFF_FLOOR * _EPS * float(np.sum(s_arr * s_arr))
     floor = spread / abs(action.lam)
-    row_peaks = np.max(np.abs(action.block), axis=1)
-    if certified is None or not np.all(certified <= tol * np.maximum(1.0, row_peaks)):
-        # Each row is judged at its own scale, so the probe must be clean at the
-        # smallest one; otherwise the rows are formed and checked one by one.
-        action.off_vector(tol * max(1.0, float(np.min(row_peaks))) + floor)
+    if row_scale is None:
+        limits = tol * np.maximum(1.0, np.max(np.abs(action.block), axis=1))
+        probe_limit = float(np.min(limits))
+    else:
+        limits = probe_limit = tol * row_scale
+    if certified is None or not np.all(certified <= limits):
+        # The probe must be clean at the smallest row limit; otherwise the rows
+        # are formed and checked one by one.
+        action.off_vector(probe_limit + floor)
         for a, image in enumerate(() if action.rows is None else action.rows):
             off_vector = float(np.max(np.abs(np.where(t.grades == 1, 0.0, image))))
-            if off_vector > tol * max(1.0, float(np.max(np.abs(image)))) + floor:
+            scale = max(1.0, float(np.max(np.abs(image)))) if row_scale is None else row_scale
+            if off_vector > tol * scale + floor:
                 raise NotInLipschitzGroupError(
                     f"conjugation of generator {a + 1} leaves the grade-1 subspace"
                 )

@@ -1,6 +1,7 @@
 """Recovery pipeline: numerator, norm sign, central roots, round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -846,6 +847,43 @@ class TestCommutationCertificate:
                 row = geometric_product(self.hat(s) * e_a, self.rev(s)).coeffs / g.scalar_part
                 assert np.max(np.abs(row[~vector_slots])) <= row_bounds[a], a
 
+    @pytest.mark.parametrize("sig", signatures_up_to(10)[::3])
+    def test_central_parts_equal_the_dense_product_bit_for_bit(self, sig):
+        t = rotorlift.recovery._get_tables(sig)
+        rng = np.random.default_rng(sig.n)
+        for u, v in [(random_versor(sig, 4, seed=7).coeffs, None)] + [
+                (random_multivector(sig, rng, 30.0).coeffs, random_multivector(sig, rng).coeffs)]:
+            v = u if v is None else v
+            full = rotorlift.recovery._product_arrays(t, u * t.reverse_signs, v)
+            assert rotorlift.recovery._central_parts(t, u * t.reverse_signs, v) == (full[0], full[-1])
+
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
+    def test_non_central_bound_holds_for_any_element_and_root(self, sig):
+        """reverse(N) N for N = S Z + Delta, Z = alpha + beta I central, against _non_central_bound.
+
+        Random non-versors with random blocks make the (|alpha| + |beta|)^2 g term
+        carry the bound; a versor with its own block and a perturbation Delta
+        makes the |Delta| term carry it.
+        """
+        t = rotorlift.recovery._get_tables(sig)
+        rng = np.random.default_rng(40 + sig.n)
+        versor = random_versor(sig, 2, seed=sig.n)
+        lam = rotorlift.recovery._gram_scalar(t, versor.coeffs)
+        cases = [(self.action(sig, s, block), 0.0) for s, block in self.elements(sig)]
+        cases.append((rotorlift.recovery._Action(t, versor.coeffs, lam), 1e-3))
+        non_central = ~((t.masks == 0) | ((t.masks == t.full_mask) & (sig.n % 2 == 1)))
+        for action, perturbation in cases:
+            s = Multivector(sig, action.s)
+            for _ in range(3):
+                alpha, beta = rng.uniform(2.0, 6.0, 2) * rng.choice([-1.0, 1.0], 2)
+                root = CenterElement(sig, alpha, beta if sig.n % 2 else 0.0)
+                n_arr = geometric_product(s, root.embed()).coeffs
+                n_arr = n_arr + perturbation * random_multivector(sig, rng).coeffs
+                g = action.certificate()[0]
+                bound = rotorlift.recovery._non_central_bound(t, n_arr, action.s, root, g)
+                dense = rotorlift.recovery._product_arrays(t, n_arr * t.reverse_signs, n_arr)
+                assert np.max(np.abs(dense[non_central])) <= bound
+
     def test_settles_versors_without_a_dense_product(self, monkeypatch):
         calls = TestTwistedAction.count_products(monkeypatch)
         for sig in signatures_up_to(6):
@@ -886,6 +924,184 @@ class TestCommutationCertificate:
         assert not settled
         with pytest.raises(NotInLipschitzGroupError, match=message):
             classify_spin(s, tol=tol)
+
+
+class TestLiftCertificate:
+    """recover_spin from n0 = _LIFT_CERTIFICATE_DIMENSION on: the certificate in place of dense products."""
+
+    N0 = rotorlift.recovery._LIFT_CERTIFICATE_DIMENSION
+
+    @staticmethod
+    def dense_path(monkeypatch):
+        monkeypatch.setattr(rotorlift.recovery, "_LIFT_CERTIFICATE_DIMENSION",
+                            rotorlift.recovery.MAX_DIMENSION + 1)
+
+    @pytest.mark.parametrize("sig, seed", [(Signature(7, 1), 0), (Signature(8, 1), 0), (Signature(9, 1), 1)])
+    def test_settled_lift_makes_no_dense_product(self, monkeypatch, sig, seed):
+        assert sig.n >= self.N0
+        matrix = forward_matrix(random_versor(sig, 4, seed=seed))
+        calls = TestTwistedAction.count_products(monkeypatch)
+        result = recover_spin(matrix)
+        assert result.residual <= 1e-11
+        assert len(calls) == 0  # central part, lambda, block, certificate: no dense product
+
+    def test_rows_left_to_the_probe_make_one_product(self, monkeypatch):
+        # a balanced signature, where the row bound stays above 1e-11 of the
+        # entry peak: the gram and the non-central check settle, the probe reads the rows
+        matrix = forward_matrix(random_versor(Signature(5, 4), 4, seed=2))
+        calls = TestTwistedAction.count_products(monkeypatch)
+        result = recover_spin(matrix)
+        assert len(calls) <= 1
+        self.dense_path(monkeypatch)
+        assert result.residual == recover_spin(matrix).residual  # the probe's value, as below n0
+
+    def test_two_central_roots_read_one_block(self, monkeypatch):
+        sig = Signature(5, 4)  # w^2 = +1: two central roots
+        assert sig.n >= self.N0 and pseudoscalar_square(sig) > 0
+        matrix = forward_matrix(random_versor(sig, 4, seed=0))
+        actions = {"_twisted_action": [], "_light_action": []}
+        for name, calls in actions.items():
+            real = getattr(rotorlift.recovery, name)
+
+            def counting(*args, real=real, calls=calls):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(rotorlift.recovery, name, counting)
+        products = TestTwistedAction.count_products(monkeypatch)
+        assert recover_spin(matrix).residual <= 1e-11
+        # the first root's block rules out the second, S I, whose block is -M
+        assert actions == {"_twisted_action": [], "_light_action": [1]}
+        assert len(products) == 0
+
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(9)
+                                     if sig.n % 2 == 1 and pseudoscalar_square(sig) > 0])
+    def test_second_root_is_the_first_times_the_pseudoscalar(self, sig):
+        t = rotorlift.recovery._get_tables(sig)
+        for k in range(1, 5):
+            s = random_versor(sig, k, seed=900 + k)
+            matrix = forward_matrix(s)
+            numerator = rotorlift.recovery._numerator_array(matrix)
+            if np.max(np.abs(numerator)) < 1e-6:
+                continue  # no central part: not liftable
+            central = rotorlift.recovery._central_gram(t, numerator, spinor_norm_sign(matrix), 1.0)
+            candidates = rotorlift.recovery._candidates(t, numerator, central_sqrt_candidates(central))
+            if len(candidates) < 2:
+                continue
+            (_, first), (_, second) = candidates
+            image = rotorlift.recovery._blade_mul_right(t, first, t.full_mask)
+            assert np.array_equal(second, image), k  # exactly, up to the sign of zeros
+            a1, a2 = (rotorlift.recovery._light_action(t, arr) for arr in (first, second))
+            assert np.max(np.abs(a1.block + a2.block)) <= 1e-12 * (1.0 + np.max(np.abs(a1.block)))
+            d1, d2 = (rotorlift.recovery._block_defect(a, matrix) for a in (a1, a2))
+            skipped = rotorlift.recovery._image_loses(t, a1, d1, matrix)
+            assert skipped == (d1 < 1e-9), k  # the right root is read, or rules out its image
+            assert not skipped or d2 > d1, k
+
+    @pytest.mark.parametrize("n", range(N0, 11))
+    def test_same_answers_as_the_dense_path(self, monkeypatch, n):
+        """Spin bytes, tags, norm sign and warning as below n0; the residual is the
+        dense one, or the certificate's bound where that settled the rows."""
+        matrices = []
+        for p in (n, n - 1, n - n // 2):
+            sig = Signature(p, n - p)
+            matrices += [forward_matrix(random_versor(sig, k, seed=500 + k)) for k in (2, 4)]
+        matrices.append(boost_turn(Signature(n - 4, 4), 7.0, 1.0)[0])  # polished
+        certified = [recover_spin(matrix) for matrix in matrices]
+        # a tolerance below the certificate's bound: the rows decide, as below n0
+        tight = [self.outcome(matrix, 1e-14) for matrix in matrices]
+        self.dense_path(monkeypatch)
+        for matrix, result, outcome in zip(matrices, certified, tight):
+            dense = recover_spin(matrix)
+            assert result.spin.coeffs.tobytes() == dense.spin.coeffs.tobytes()
+            assert (result.groups, result.norm_sign, result.warning) == (dense.groups, dense.norm_sign,
+                                                                         dense.warning)
+            assert result.residual == dense.residual or dense.residual <= result.residual <= 1e-11
+            assert outcome == self.outcome(matrix, 1e-14)
+
+    @staticmethod
+    def outcome(matrix, residual_tol):
+        try:
+            result = recover_spin(matrix, residual_tol=residual_tol)
+        except VerificationFailedError as error:
+            return str(error)
+        return result.spin.coeffs.tobytes(), result.residual
+
+    @staticmethod
+    def numerator(sig, kind):
+        t = rotorlift.recovery._get_tables(sig)
+        if kind == "even non-versor":
+            rng = np.random.default_rng(sig.n)
+            arr = np.where(t.grades % 2 == 0, rng.uniform(-1.0, 1.0, t.size), 0.0)
+            arr[0] = 3.0
+            return arr
+        arr = np.zeros(t.size)
+        if kind == "slightly non-central":
+            # 2^n (1 + 2e-7 e1234): reverse(S) S off the scalar by 4e-7, which
+            # admits the candidate, and reverse(N) N by 4e-7 of 4^n, which is not central
+            arr[0], arr[0b1111] = 2.0 ** sig.n, 2e-7 * 2.0 ** sig.n
+            return arr
+        if kind == "small, unusable gram":
+            # 1e-3 (1 + 0.02 e1234): reverse(N) N is off the centre by 4e-8, within
+            # the check's absolute floor of 1e-7, but reverse(S) S by 0.04, which
+            # no candidate passes
+            arr[0], arr[0b1111] = 1e-3, 2e-5
+            return arr
+        arr[1 | 1 << sig.p] = 1.0  # e1 e_{p+1}: reverse(N) N = -1, central
+        if kind == "no real root, not central":
+            arr[0b1111] = 0.5  # plus e1234
+        return arr
+
+    @pytest.mark.parametrize("sig", [Signature(4, 2), Signature(4, 4), Signature(5, 4)])
+    @pytest.mark.parametrize("kind, error, message", [
+        ("even non-versor", VerificationFailedError, "reverse(N)*N is not central"),
+        ("slightly non-central", VerificationFailedError, "reverse(N)*N is not central"),
+        ("small, unusable gram", VerificationFailedError, "residual inf"),
+        ("no real root, not central", VerificationFailedError, "reverse(N)*N is not central"),
+        ("no real root", NoRealRootError, "-1"),
+    ])
+    def test_numerator_outside_the_domain_keeps_its_error(self, monkeypatch, sig, kind, error, message):
+        # the dense check on reverse(N)*N runs first below n0; from n0 on the
+        # certificate cannot settle it and falls back to it, also when the
+        # central part has no real root
+        arr = self.numerator(sig, kind)
+        monkeypatch.setattr(rotorlift.recovery, "_numerator_array", lambda matrix: arr.copy())
+        real = rotorlift.recovery._central_parts
+        reads = []
+
+        def counting(*args):
+            reads.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(rotorlift.recovery, "_central_parts", counting)
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            recover_spin(validate_pseudo_orthogonal(np.eye(sig.n), sig))
+        assert len(reads) == (sig.n >= self.N0)
+        self.dense_path(monkeypatch)
+        with pytest.raises(error) as dense:
+            recover_spin(validate_pseudo_orthogonal(np.eye(sig.n), sig))
+        assert str(caught.value) == str(dense.value)
+
+    def test_classification_judges_rows_at_the_residual_scale(self):
+        # A strong Cl(5,4) versor, entry peak 1.2e3: the polish leaves the rows off
+        # grade 1 by up to 4.7e-6, 3.9e-9 of the entry peak, which the residual
+        # accepts; judged at its own peak of 121, row 4 (1.9e-6 off) made the
+        # classification raise "conjugation of generator 4 leaves the grade-1 subspace"
+        sig = Signature(5, 4)
+        metric = sig.metric()
+        spin = Multivector.scalar(sig, 1.0)
+        for v in ([2.75, -1.58, -0.70, 0.51, -2.00, -0.36, -2.93, 1.11, -1.97],
+                  [-3.25, -3.54, 2.06, 1.19, -2.87, 5.76, -1.39, 1.71, -0.20],
+                  [-1.91, -2.11, 2.85, -0.48, 1.55, 3.13, 0.71, -0.74, -2.65],
+                  [-1.11, 1.47, -0.37, -0.14, -1.63, -1.44, -0.06, 1.50, 0.93]):
+            v = np.array(v)
+            spin = spin * Multivector.from_vector(sig, v / math.sqrt(abs(np.sum(metric * v * v))))
+        matrix = forward_matrix(spin)
+        assert 1e3 < np.max(np.abs(matrix.entries)) < 2e3
+        result = recover_spin(matrix)
+        assert result.residual <= 1e-8
+        assert result.groups.in_spin
+        assert max_diff(result.spin, canonicalize_sign(spin)) <= 1e-6 * spin.max_abs()
 
 
 def boost_turn(sig, rapidity, angle):

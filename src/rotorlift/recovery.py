@@ -12,20 +12,23 @@ O(n^2 2^n) work.  For a matrix P in the image of the twisted adjoint
 representation, N equals 2^n * S * (central part of S^-1), so dividing N
 by a central square root of sign * reverse(N) * N yields the two preimages
 +-S.  Which of the candidate central roots is correct is decided by direct
-verification against the matrix, after a Newton polish whose bivector step
-is a least-squares fit of the grade-1 row defect when cancellation has
-cost digits.
+verification against the matrix.
+
+On strong boosts the sum loses digits to cancellation; where the winner's
+residual is above ``_FALLBACK_THRESHOLD``, ``_csd_fallback`` keeps the
+better verified of it and ``_csd_lift``, the lift through the hyperbolic CS
+decomposition, O(n^2 2^n) with no dense product.  The route's domain
+decisions run first and still reject.
 
 The action of an element S, reverse(S)*S with the rows
 grade_involution(S) e_a S^-1, is computed once per element by
-``_twisted_action`` and shared by the verification residual, the Newton
-polish, the group classification and the forward map; S and -S share it.
-It costs two products, not n + 1: the grade-1 block of the rows is read in
-O(n^2 2^n), and one probe product at fixed weights checks that no row
-leaves grade 1.  The n full rows are formed only when the probe is not
-clean at its reader's bound, or when the block defect already calls for the
-polish, which linearizes around them.  The residual is the larger of the block
-defect max |M - P| and the rows' off-vector peak, over max(1, entry peak).
+``_twisted_action`` and shared by the verification residual, the group
+classification and the forward map; S and -S share it.  It costs two
+products, not n + 1: the grade-1 block of the rows is read in O(n^2 2^n),
+and one probe product at fixed weights checks that no row leaves grade 1.
+The n full rows are formed only when the probe is not clean at its
+reader's bound.  The residual is the larger of the block defect max |M - P|
+and the rows' off-vector peak, over max(1, entry peak).
 
 ``classify_spin`` and ``forward_matrix``, which are not handed an action,
 make no dense product when a commutation-defect certificate settles their
@@ -45,8 +48,8 @@ are admitted on lambda and compared on their blocks, and the winner's
 certificate, plus the rounding of the dense product each check would make,
 settles its admission, the "reverse(N)*N is not central" check
 (``_non_central_bound``) and the rows of the residual.  Each check it does
-not settle runs its dense form, so every decision is the one below n0; an
-unpolished lift that the certificate settles makes no dense product.
+not settle runs its dense form, so every decision is the one below n0; a
+lift that the certificate settles makes no dense product.
 """
 
 from __future__ import annotations
@@ -94,9 +97,9 @@ from .matrices import (
 
 DEFAULT_RESIDUAL_TOLERANCE = 1e-8
 DEFAULT_DEGENERACY_TOLERANCE = 1e-8
-# Residual above which recover_spin polishes its candidate, and the merit at
-# which the polish stops.
-_POLISH_THRESHOLD = 1e-11
+# Residual above which recover_spin and recover_hestenes set the CSD lift
+# (_csd_fallback) against their candidate.
+_FALLBACK_THRESHOLD = 1e-11
 # Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
 # _Action.off_vector): fixed, so that results repeat bit for bit.
 _PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
@@ -151,7 +154,7 @@ class RotorResult:
     action of S from the rows of the input matrix: the larger of the
     grade-1 block defect max |M - P| and the peak of the rows off grade 1,
     over max(1, entry peak).  Where the commutation-defect certificate
-    settles the rows (unpolished lifts from n = 8 on), the off-vector peak
+    settles the rows (lifts from n = 8 on), the off-vector peak
     is the certificate's bound on it, with the rounding of the dense rows,
     and the residual is then at most 1e-11 and at most ``residual_tol``.
     """
@@ -511,21 +514,6 @@ def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram) -> _Action:
     return _Action(t, s_arr, gram[0], gram, admit(gram, float(np.max(np.abs(s_arr)))))
 
 
-def _embed_rows(t, entries: np.ndarray) -> np.ndarray:
-    """Matrix rows as grade-1 elements, stacked n x 2^n."""
-    rows = np.zeros((t.n, t.size))
-    rows[:, t.grades == 1] = entries
-    return rows
-
-
-def _contract(t, stacked) -> np.ndarray:
-    """sum_a stacked[a] * e^a over the reciprocal generators e^a = e_a / e_a^2."""
-    acc = np.zeros(t.size)
-    for a, element in enumerate(stacked):
-        acc += _blade_mul_right(t, element, 1 << a, float(t.metric[a]))
-    return acc
-
-
 def _entry_scale(matrix: OrthoMatrix) -> float:
     """max(1, entry peak of P): the scale of the residual and of every check relative to P."""
     return max(1.0, float(np.max(np.abs(matrix.entries))))
@@ -543,136 +531,15 @@ def _block_defect(action: _Action, matrix: OrthoMatrix) -> float:
 def _residual(action: _Action, matrix: OrthoMatrix) -> float:
     """Scaled twisted-adjoint residual: the block defect and the off-vector peak of the rows.
 
-    A block defect above ``_POLISH_THRESHOLD`` already puts the residual
-    there, and the polish that follows linearizes around the full rows, so
-    they are formed instead of a probe.
+    The off-vector peak comes from the probe where it is clean at
+    ``_FALLBACK_THRESHOLD`` of the entry scale, and from the full rows otherwise.
     """
     defect = _block_defect(action, matrix)
     if not math.isfinite(defect):
         return math.inf
-    if defect > _POLISH_THRESHOLD:
-        action.form_rows()
     scale = _entry_scale(matrix)
-    off = action.off_vector(_POLISH_THRESHOLD * scale) / scale
+    off = action.off_vector(_FALLBACK_THRESHOLD * scale) / scale
     return max(defect, off) if math.isfinite(off) else math.inf
-
-
-def _bivector_step(t, p_cur: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Bivector X = sum_{a<b} x_ab e_a e_b whose first-order change of the rows best fits delta.
-
-    X moves the grade-1 rows P_cur by sum_ab x_ab G_ab P_cur, where G_ab P_cur
-    has row a equal to -2 m_a P_cur[b], row b equal to 2 m_b P_cur[a] and zeros
-    elsewhere.  The least-squares fit of delta is solved by modified
-    Gram-Schmidt on [design | delta] and back substitution (Bjorck 1967).
-    Column k's norm and its products with the later columns come from one
-    einsum without ``optimize``, and the back substitution runs by columns,
-    so, like the product kernel, the step calls no BLAS and repeats bit for
-    bit on any build.
-    """
-    first, second = np.triu_indices(t.n, 1)
-    m = len(first)
-    columns = np.zeros((m + 1, t.n, t.n))
-    columns[np.arange(m), first] = -2.0 * t.metric[first, None] * p_cur[second]
-    columns[np.arange(m), second] = 2.0 * t.metric[second, None] * p_cur[first]
-    columns[m] = delta
-    q = columns.reshape(m + 1, -1)
-    r = np.zeros((m, m + 1))
-    for k in range(m):
-        dots = np.einsum("ji,i->j", q[k:], q[k])
-        r[k, k] = math.sqrt(dots[0])
-        r[k, k + 1:] = dots[1:] / r[k, k]
-        q[k] /= r[k, k]
-        q[k + 1:] -= np.outer(r[k, k + 1:], q[k])
-    x = r[:, m].copy()
-    for k in reversed(range(m)):
-        x[k] /= r[k, k]
-        x[:k] -= r[:k, k] * x[k]
-    bivector = np.zeros(t.size)
-    bivector[(1 << first) | (1 << second)] = x
-    return bivector
-
-
-def _newton_polish(t, s_arr: np.ndarray, action, matrix: OrthoMatrix, iterations: int = 5):
-    """Refine a spin-element candidate against the matrix it should cover.
-
-    Writes the next iterate as S(1 + X) with X even, solving the linearized
-    equations one grade block at a time:
-
-    * grade 2, the group's tangent bivectors, moves the grade-1 rows by
-      grade_involution(S)[X, e_a]S^-1; its step is the least-squares fit of
-      the n x n grade-1 row defect (``_bivector_step``).
-    * grades g = 2 mod 4 with g >= 6 (transverse to the versor manifold)
-      move the rows off grade 1 through the same commutator, so contracting
-      the conjugated row residuals c_a with the reciprocal generators
-      isolates them: sum_a c_a e^a picks up 2g X_g.
-    * grades g = 0 mod 4, g >= 4 (transverse as well) show up at first
-      order in reverse(S) S = lambda (1 + 2 X_g), so the gram pins them.
-
-    The g = 0 direction is pure rescaling and is handled by normalization.
-    The contraction is an exact inverse only on the range of
-    X -> grade_involution(S)[X, e_a]S^-1; rounded rows lie off that range,
-    and pulling them back through S amplifies that offset by about the
-    square of the coefficient peak of S.  On the bivectors this held the
-    iteration at spurious fixed points near the residual tolerance, hence
-    the least-squares step; the contraction runs only when the rows'
-    off-vector defect is what holds the merit up.  The loop stops once its
-    merit is at most ``_POLISH_THRESHOLD``.  This recovers the digits that
-    cancellation in the numerator sum costs on strongly boosted matrices.
-
-    Takes and returns the action of the iterate alongside it; each step
-    linearizes around the iterate's full rows, and every iterate the loop
-    forms is judged on them.  An input whose merit already meets the
-    threshold is returned as it is, judged by its action's probe when its
-    grade-1 block meets the threshold too.
-    """
-    expected = _embed_rows(t, matrix.entries)
-    vector_slots = t.grades == 1
-    scale = _entry_scale(matrix)
-
-    def merit(iterate_action) -> float:
-        gram = iterate_action.gram
-        return max(_residual(iterate_action, matrix), _off_scalar(gram) / max(1.0, abs(gram[0])))
-
-    best, best_action = s_arr, action
-    best_merit = merit(action)
-    current = s_arr
-    grades = t.grades.astype(np.float64)
-    action_divisors = np.where((t.grades % 4 == 2) & (t.grades >= 6), 2.0 * grades, 0.0)
-    gram_block = (t.grades % 4 == 0) & (t.grades > 0)
-    for _ in range(iterations):
-        if not math.isfinite(best_merit) or best_merit <= _POLISH_THRESHOLD:
-            break
-        gram = action.gram
-        lam = gram[0]
-        if abs(lam) < 1e-9:
-            break
-        rows = action.form_rows()
-        p_cur = rows[:, vector_slots]
-        correction = _bivector_step(t, p_cur, matrix.entries - p_cur)
-        defects = expected - rows
-        off_vector = np.max(np.abs(defects[:, ~vector_slots]))
-        if t.n >= 6 and off_vector > max(np.max(np.abs(defects[:, vector_slots])),
-                                         _POLISH_THRESHOLD * scale):
-            hat_inverse = (current * t.reverse_signs) / lam * t.grade_signs
-            contracted = _contract(
-                t,
-                (_product_arrays(t, _product_arrays(t, hat_inverse, defect), current)
-                 for defect in defects),
-            )
-            np.divide(contracted, action_divisors, out=correction, where=action_divisors != 0.0)
-        correction[gram_block] = -gram[gram_block] / (2.0 * lam)
-        current = current + _product_arrays(t, current, correction)
-        norm = abs(_gram(t, current)[0])
-        if norm > 0:
-            current = current / math.sqrt(norm)
-        action = _twisted_action(t, current)
-        action.form_rows()
-        step_merit = merit(action)
-        if step_merit < best_merit:
-            best, best_action, best_merit = current, action, step_merit
-        elif not math.isfinite(step_merit) or step_merit > 10.0 * best_merit:
-            break
-    return best, best_action
 
 
 def twisted_adjoint_residual(s: Multivector, matrix: OrthoMatrix) -> float:
@@ -716,9 +583,10 @@ def recover_spin(
     Builds the numerator sum in nested form (``spin_numerator(matrix,
     method="minors")`` is its independent reference), normalizes by the
     central square root whose sign is fixed by the component of the group,
-    and keeps the candidate with the smallest verification residual.  The
-    returned representative is sign-canonicalized; the other preimage is its
-    negative.
+    and keeps the candidate with the smallest verification residual, or the
+    CS-decomposition lift where that verifies better (``_csd_fallback``).
+    The returned representative is sign-canonicalized; the other preimage is
+    its negative.
     """
     sig = matrix.sig
     t = _get_tables(sig)
@@ -726,11 +594,15 @@ def recover_spin(
     # N = 2^n S center(S^-1) grows with the entries, so the gate scales with both.
     scale = float(1 << sig.n) * _entry_scale(matrix)
     peak = float(np.max(np.abs(numerator)))
-    if not peak >= scale * degeneracy_tol:  # a NaN tolerance rejects
-        raise CenterProjectionVanishesError(
-            "the numerator sum is numerically zero: the spin element for this matrix "
-            "has vanishing central part and cannot be recovered by this construction"
-        )
+
+    def gate(numerator_peak: float) -> None:
+        if not numerator_peak >= scale * degeneracy_tol:  # a NaN tolerance rejects
+            raise CenterProjectionVanishesError(
+                "the numerator sum is numerically zero: the spin element for this matrix "
+                "has vanishing central part and cannot be recovered by this construction"
+            )
+
+    gate(peak)
     warning = None
     if peak < scale * math.sqrt(degeneracy_tol):
         warning = (
@@ -751,21 +623,19 @@ def recover_spin(
             _central_gram(t, numerator, norm_sign, peak)
         raise
     candidates = _candidates(t, numerator, roots)
-    # The candidate roots are compared on their grade-1 blocks alone; the
-    # winner's off-vector part is read from its full rows if its block
-    # already calls for the polish, and from one probe product otherwise
-    # (from n0 on, where its certificate does not settle it).
+    # Candidates are compared on their blocks; a winner's block defect above
+    # _FALLBACK_THRESHOLD stands as its residual, a lower bound, for the lift.
     if certify:
         best, best_action, best_residual = _certified_winner(
             t, numerator, candidates, matrix, norm_sign, peak, residual_tol)
     else:
-        _, best, best_action, _ = _choose(t, candidates, matrix, _twisted_action)
-        best_residual = math.inf if best is None else _residual(best_action, matrix)
-    # Polishing only pays off when cancellation noise is visible; the bulk of
-    # inputs verify far below tolerance straight from the division.
-    if math.isfinite(best_residual) and best_residual > _POLISH_THRESHOLD:
-        best, best_action = _newton_polish(t, best, best_action, matrix)
-        best_residual = _residual(best_action, matrix)
+        _, best, best_action, best_residual = _choose(t, candidates, matrix, _twisted_action)
+        if best_residual <= _FALLBACK_THRESHOLD:
+            best_residual = _residual(best_action, matrix)
+    if best_residual > _FALLBACK_THRESHOLD:  # the lift implies N = 2^n S center(S^-1)
+        best, best_action, best_residual = _csd_fallback(
+            t, matrix, best, best_action, best_residual, residual_tol,
+            lambda s, lam: gate(float(1 << sig.n) * _implied_peak(t, s, lam, sig.n % 2)))
     return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning, matrix)
 
 
@@ -883,20 +753,18 @@ def _certified_winner(t, numerator, candidates, matrix, norm_sign, peak, residua
     Decides what the dense path decides, with the same dense product as the
     fallback of each check: the candidates are admitted on lambda alone and
     compared on their blocks (the second only where ``_image_loses`` cannot
-    rule it out); the winner's certificate (``dense_bounds``) admits it where
-    the dense gram would, settles the non-central check on reverse(N)*N
-    through ``_non_central_bound``, and stands in for the probe and the rows
-    where the residual it gives is within both the polish threshold and
-    ``residual_tol``.  A winner whose block already calls for the polish
-    forms its dense gram, which the polish reads anyway.  If the dense gram
-    rejects the winner, every candidate is judged as below n0.
+    rule it out); the winner is admitted by ``_admitted``, its certificate
+    settles the non-central check on reverse(N)*N through
+    ``_non_central_bound``, and stands in for the probe and the rows where
+    the residual it gives is within both ``_FALLBACK_THRESHOLD`` and
+    ``residual_tol`` (``_certified_residual``).  A winner whose block defect
+    is above the threshold returns that defect, a lower bound on its
+    residual, for ``_csd_fallback`` to compare.  If the dense gram rejects
+    the winner, every candidate is judged as below n0.
     """
     root, best, action, defect = _choose(t, candidates, matrix, _light_action, skip_image=True)
-    if best is not None:
-        peak_s = float(np.max(np.abs(best)))
-        settled = defect <= _POLISH_THRESHOLD and _usable(action.lam, action.dense_bounds()[0], peak_s)
-        if not settled and not _usable_gram(action.gram, peak_s):
-            root, best, action, defect = _choose(t, candidates, matrix, _twisted_action)
+    if best is not None and not _admitted(action):
+        root, best, action, defect = _choose(t, candidates, matrix, _twisted_action)
     if best is None:
         _central_gram(t, numerator, norm_sign, peak)
         return None, None, math.inf
@@ -907,12 +775,172 @@ def _certified_winner(t, numerator, candidates, matrix, norm_sign, peak, residua
         g = action.certificate()[0]
     if not _non_central_bound(t, numerator, best, root, g) <= _non_central_limit(peak):
         _central_gram(t, numerator, norm_sign, peak)
-    if action.certified and defect <= _POLISH_THRESHOLD:
-        scale = _entry_scale(matrix)
-        residual = max(defect, float(np.max(action.dense_bounds()[1])) / scale)
-        if residual <= _POLISH_THRESHOLD and residual <= residual_tol:
-            return best, action, residual
-    return best, action, _residual(action, matrix)
+    return best, action, (defect if defect > _FALLBACK_THRESHOLD
+                          else _certified_residual(action, defect, matrix, residual_tol))
+
+
+def _admitted(action: _Action) -> bool:
+    """Whether the dense gram of a light action is usable, settled by its certificate where it can be."""
+    peak_s = float(np.max(np.abs(action.s)))
+    return _usable(action.lam, action.dense_bounds()[0], peak_s) or _usable_gram(action.gram, peak_s)
+
+
+def _certified_residual(action: _Action, defect: float, matrix: OrthoMatrix, residual_tol: float) -> float:
+    """The residual with the certificate's row bounds where they settle it, ``_residual`` otherwise."""
+    if action.certified and defect <= _FALLBACK_THRESHOLD:
+        residual = max(defect, float(np.max(action.dense_bounds()[1])) / _entry_scale(matrix))
+        if residual <= _FALLBACK_THRESHOLD and residual <= residual_tol:
+            return residual
+    return _residual(action, matrix)
+
+
+def _csd_fallback(t, matrix: OrthoMatrix, best, action, residual: float, residual_tol: float, guard):
+    """The better verified of a route's candidate and ``_csd_lift``: (S, action, residual).
+
+    Runs where the candidate's residual is above ``_FALLBACK_THRESHOLD`` or
+    inf (none admitted).  ``residual`` may be the block defect alone, a lower
+    bound; the full one is read only if the lift does not beat it.  The lift
+    is verified as the route verifies its candidates; ties keep the
+    candidate.  A winning lift must pass ``guard(S, lambda)``, which rejects
+    where the sum the lift implies (``_implied_peak``) fails the route's
+    degeneracy gate: the computed sum passed it on rounding alone.
+    """
+    lift = _csd_lift(t, matrix)
+    if t.n < _LIFT_CERTIFICATE_DIMENSION:
+        lift_action = _twisted_action(t, lift)
+        lift_residual = _residual(lift_action, matrix)
+    else:  # a unit versor, so its lambda admits it and it has a block
+        lift_action = _light_action(t, lift)
+        lift_residual = (_certified_residual(lift_action, _block_defect(lift_action, matrix), matrix,
+                                             residual_tol) if _admitted(lift_action) else math.inf)
+    if not lift_residual < residual and best is not None:
+        residual = _residual(action, matrix)
+    if not lift_residual < residual:
+        return best, action, residual
+    guard(lift, lift_action.lam)
+    return lift, lift_action, lift_residual
+
+
+def _implied_peak(t, s_arr: np.ndarray, lam: float, pseudo_sign: float) -> float:
+    """Peak of S (x_0 + pseudo_sign x_I I), x = S^-1 = reverse(S) / lambda and I the pseudoscalar.
+
+    pseudo_sign 1 at odd n, 0 at even n gives S center(S^-1), the numerator
+    over 2^n; -1 in Cl(1,3) gives the grade-1 contraction over 4.
+    """
+    pseudo = pseudo_sign * float(t.reverse_signs[-1]) * s_arr[-1] / lam
+    return float(np.max(np.abs(s_arr * (s_arr[0] / lam) + _blade_mul_right(t, s_arr, t.full_mask, pseudo))))
+
+
+def _jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Jacobi SVD x V = W of an r x k block, r >= k, in Python floats.
+
+    Rotates pairs of columns until each pair is orthogonal to k eps of its
+    norms (Hestenes 1958; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13
+    (1992)); V accumulates the rotations.  Returns W and V with the columns
+    ordered by falling norm, so W's column norms are the singular values.
+    """
+    r, k = x.shape
+    cols, rotations = x.T.tolist(), np.eye(k).tolist()
+    for _ in range(30):  # sweeps; a 7 x 7 block converges in about 8
+        rotated = False
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                alpha, beta = (sum(a * a for a in col) for col in (cols[i], cols[j]))
+                gamma = sum(a * b for a, b in zip(cols[i], cols[j]))
+                if abs(gamma) <= k * _EPS * math.sqrt(alpha * beta):
+                    continue
+                zeta = (beta - alpha) / (2.0 * gamma)
+                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                cos = 1.0 / math.sqrt(1.0 + tan * tan)
+                sin = cos * tan
+                for pair in (cols, rotations):
+                    u, v = pair[i], pair[j]
+                    pair[i] = [cos * a - sin * b for a, b in zip(u, v)]
+                    pair[j] = [sin * a + cos * b for a, b in zip(u, v)]
+                rotated = True
+        if not rotated:
+            break
+    order = sorted(range(k), key=lambda j: -sum(a * a for a in cols[j]))
+    return (np.array([cols[j] for j in order]).reshape(k, r).T,
+            np.array([rotations[j] for j in order]).reshape(k, k).T)
+
+
+def _householder(m: np.ndarray) -> tuple[list, np.ndarray]:
+    """Householder QR m = H(v_1)...H(v_k) R of an r x c matrix, r >= c: the unit v_j and R's diagonal.
+
+    H(v) = I - 2 v v^T.  A column already on its axis gets no reflection.
+    """
+    m = m.copy()
+    vectors, diag = [], np.zeros(m.shape[1])
+    for j in range(m.shape[1]):
+        x = m[j:, j]
+        tail = float(np.sum(x[1:] * x[1:]))
+        diag[j] = x[0]
+        if tail == 0.0:
+            continue
+        norm = math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
+        v = np.concatenate((np.zeros(j), x))
+        v[j] += norm
+        v /= math.sqrt(float(np.sum(v * v)))
+        m -= 2.0 * np.outer(v, np.einsum("i,ik->k", v, m))
+        diag[j] = -norm
+        vectors.append(v)
+    return vectors, diag
+
+
+def _lift_orthogonal(t, arr: np.ndarray, block: np.ndarray, offset: int) -> np.ndarray:
+    """arr * lift(W) for an orthogonal block W on the generators from ``offset`` on.
+
+    W = H(v_1)...H(v_k) D with D = diag(+-1) (``_householder``), and H(v)
+    lifts to the unit vector v in either metric, so lift(W) = lift(D) v_k
+    ... v_1, lift(D) the generators where D has -1.
+    """
+    vectors, diag = _householder(block)
+    for i in np.flatnonzero(diag < 0.0):
+        arr = _blade_mul_right(t, arr, 1 << (offset + int(i)))
+    coords = np.zeros(t.n)
+    for v in reversed(vectors):
+        coords[offset:offset + len(v)] = v
+        arr = _vector_mul_right(t, arr, coords)
+    return arr
+
+
+def _csd_lift(t, matrix: OrthoMatrix) -> np.ndarray:
+    """S covering P from the hyperbolic CS decomposition P = L A0 R, in O(n^2 2^n).
+
+    (Higham, "J-orthogonal matrices: properties and generation", SIAM Review
+    45 (2003), section 3.)  L = diag(U1, U2) and R = diag(V1, V2)^T are
+    orthogonal; A0 has cosh sigma_i on the diagonal and s_i = sinh sigma_i
+    at (i, p+i) and (p+i, i), s the singular values of the p x q block B =
+    U1 [diag(s) 0] V2^T.  With c = sqrt(1 + s^2), padded with ones, V1^T =
+    diag(1/c) U1^T A and U2 = D V2 diag(1/c) for the diagonal blocks A, D:
+    every division is by c >= 1, so nothing cancels however strong the boost.
+    In the row convention lift(X Y) = lift(Y) lift(X), so S = lift(R)
+    lift(A0) lift(L), by right products alone; the boost of plane i lifts to
+    cosh(sigma_i / 2) - sinh(sigma_i / 2) e_i e_{p+i}.  S is a unit versor
+    on any component of O(p,q).  No dense product, np.linalg or BLAS.
+    """
+    p, q = t.sig.p, t.sig.q
+    a, b, d = matrix.entries[:p, :p], matrix.entries[:p, p:], matrix.entries[p:, p:]
+    w, rotations = _jacobi_svd(b if p >= q else b.T)
+    vectors, diag = _householder(w)
+    # the orthogonal factor with W = completed [diag(s); 0]
+    completed = np.diag(np.append(np.where(diag < 0.0, -1.0, 1.0), np.ones(len(w) - len(diag))))
+    for v in reversed(vectors):
+        completed -= 2.0 * np.outer(v, np.einsum("i,ik->k", v, completed))
+    u1, v2 = (completed, rotations) if p >= q else (rotations, completed)
+    s = np.abs(diag)
+    c = np.ones(max(p, q))
+    c[:len(s)] = np.sqrt(1.0 + s * s)
+    arr = np.zeros(t.size)
+    arr[0] = 1.0
+    arr = _lift_orthogonal(t, arr, np.einsum("ji,jk->ik", u1, a) / c[:p, None], 0)
+    arr = _lift_orthogonal(t, arr, v2.T, p)
+    for i in np.flatnonzero(s):
+        half = math.sqrt((c[i] + 1.0) / 2.0)
+        arr = arr * half + _blade_mul_right(t, arr, 1 << int(i) | 1 << (p + int(i)), -s[i] / (2.0 * half))
+    arr = _lift_orthogonal(t, arr, u1, 0)
+    return _lift_orthogonal(t, arr, np.einsum("ij,jk->ik", d, v2) / c[:q], p)
 
 
 def recover_hestenes(
@@ -940,13 +968,19 @@ def recover_hestenes(
             "the dimension-4 shortcut needs a proper orthochronous matrix (SO+)"
         )
     t = _get_tables(sig)
-    contraction = _contract(t, _embed_rows(t, matrix.entries))
+    rows = np.zeros((t.n, t.size))
+    rows[:, t.grades == 1] = matrix.entries
+    contraction = sum(_blade_mul_right(t, row, 1 << a, float(t.metric[a])) for a, row in enumerate(rows))
+
+    def gate(contraction_peak: float) -> None:
+        if not contraction_peak >= sig.n * degeneracy_tol:
+            raise HestenesConditionError(
+                "the grade-1 contraction vanishes: the spin element has neither scalar "
+                "nor pseudoscalar part, so the dimension-4 shortcut does not apply"
+            )
+
     peak = float(np.max(np.abs(contraction)))
-    if not peak >= sig.n * degeneracy_tol:
-        raise HestenesConditionError(
-            "the grade-1 contraction vanishes: the spin element has neither scalar "
-            "nor pseudoscalar part, so the dimension-4 shortcut does not apply"
-        )
+    gate(peak)
     gram = _gram(t, contraction)
     off = gram.copy()
     off[0] = 0.0
@@ -961,8 +995,14 @@ def recover_hestenes(
         raise HestenesConditionError("the contraction self-product vanished")
     w_inv = 1.0 / w
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
-    normalized, action = _newton_polish(t, normalized, _twisted_action(t, normalized), matrix)
-    residual = _residual(action, matrix)
+    action = _twisted_action(t, normalized)
+    residual = _block_defect(action, matrix)
+    if residual <= _FALLBACK_THRESHOLD:
+        residual = _residual(action, matrix)
+    if residual > _FALLBACK_THRESHOLD:  # the lift implies the contraction 4 S (x_0 - x_I I)
+        normalized, action, residual = _csd_fallback(
+            t, matrix, normalized, action, residual, residual_tol,
+            lambda s, lam: gate(4.0 * _implied_peak(t, s, lam, -1.0)))
     return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None,
                      matrix)
 

@@ -1,7 +1,10 @@
 """Recovery pipeline: numerator, norm sign, central roots, round trips."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from rotorlift import (
     twisted_adjoint_residual,
     validate_pseudo_orthogonal,
 )
+from rotorlift.matrices import OrthoMatrix
 from helpers import (
     exp_series,
     max_diff,
@@ -681,7 +685,7 @@ class TestTwistedAction:
         calls.clear()
         result = recover_spin(matrix)
         # reverse(N) N, then the gram of the single candidate and one probe,
-        # which also classify it; polish runs only above a residual of 1e-11
+        # which also classify it; the CSD fallback runs only above a residual of 1e-11
         assert result.residual <= 1e-11
         assert len(calls) <= 3
 
@@ -703,15 +707,15 @@ class TestTwistedAction:
         # reverse(N) N, one gram per root, one probe of the winner
         assert len(calls) <= 4
 
-    def test_polished_input_adds_no_product(self, monkeypatch):
+    def test_fallback_input_makes_four_products(self, monkeypatch):
         matrix, _ = boost_turn(Signature(3, 3), 9.0, 1.0)
         calls = self.count_products(monkeypatch)
         result = recover_spin(matrix)
         assert result.residual <= 1e-11
-        # reverse(N) N, the gram and n full rows of the candidate, one polish
-        # step (correction, normalization, gram and n rows): 17, as when
-        # every action formed its full rows
-        assert 3 < len(calls) <= 17
+        # reverse(N) N and the candidate's gram; its block defect calls for the
+        # CSD fallback, whose lift costs the gram and one probe, which also
+        # classify it (the Newton polish this replaced made 17)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("sig", signatures_up_to(7))
     def test_block_matches_full_rows(self, sig):
@@ -725,7 +729,7 @@ class TestTwistedAction:
 
     def test_small_off_vector_part_is_read_from_full_rows(self):
         # S = cos(u) + sin(u) e123456 has S e_a S^-1 = e_a (cos 2u - sin 2u e123456):
-        # its grade-1 block misses the identity by 2u^2, below the polish
+        # its grade-1 block misses the identity by 2u^2, below the fallback
         # threshold, so only the probe sees the off-vector part sin 2u
         sig = Signature(6, 0)
         u = 1e-6
@@ -1006,7 +1010,7 @@ class TestLiftCertificate:
         for p in (n, n - 1, n - n // 2):
             sig = Signature(p, n - p)
             matrices += [forward_matrix(random_versor(sig, k, seed=500 + k)) for k in (2, 4)]
-        matrices.append(boost_turn(Signature(n - 4, 4), 7.0, 1.0)[0])  # polished
+        matrices.append(boost_turn(Signature(n - 4, 4), 7.0, 1.0)[0])  # lifted by the CSD fallback
         certified = [recover_spin(matrix) for matrix in matrices]
         # a tolerance below the certificate's bound: the rows decide, as below n0
         tight = [self.outcome(matrix, 1e-14) for matrix in matrices]
@@ -1056,7 +1060,6 @@ class TestLiftCertificate:
     @pytest.mark.parametrize("kind, error, message", [
         ("even non-versor", VerificationFailedError, "reverse(N)*N is not central"),
         ("slightly non-central", VerificationFailedError, "reverse(N)*N is not central"),
-        ("small, unusable gram", VerificationFailedError, "residual inf"),
         ("no real root, not central", VerificationFailedError, "reverse(N)*N is not central"),
         ("no real root", NoRealRootError, "-1"),
     ])
@@ -1082,11 +1085,28 @@ class TestLiftCertificate:
             recover_spin(validate_pseudo_orthogonal(np.eye(sig.n), sig))
         assert str(caught.value) == str(dense.value)
 
+    @pytest.mark.parametrize("sig", [Signature(4, 2), Signature(4, 4), Signature(5, 4)])
+    def test_no_admitted_candidate_falls_back_to_the_csd_lift(self, monkeypatch, sig):
+        # the "small, unusable gram" numerator for the identity: reverse(N)*N is
+        # central within its floor, but no candidate's gram is a scalar, so the
+        # residual is inf; the fallback lifts the identity, as below n0
+        arr = self.numerator(sig, "small, unusable gram")
+        monkeypatch.setattr(rotorlift.recovery, "_numerator_array", lambda matrix: arr.copy())
+        matrix = validate_pseudo_orthogonal(np.eye(sig.n), sig)
+        result = recover_spin(matrix)
+        assert result.spin.terms() == {0: 1.0} and result.residual <= 1e-11
+        self.dense_path(monkeypatch)
+        dense = recover_spin(matrix)
+        assert dense.spin.coeffs.tobytes() == result.spin.coeffs.tobytes()
+        # from n0 on the residual is the certificate's bound
+        assert dense.residual == result.residual or dense.residual <= result.residual <= 1e-11
+
     def test_classification_judges_rows_at_the_residual_scale(self):
-        # A strong Cl(5,4) versor, entry peak 1.2e3: the polish leaves the rows off
-        # grade 1 by up to 4.7e-6, 3.9e-9 of the entry peak, which the residual
-        # accepts; judged at its own peak of 121, row 4 (1.9e-6 off) made the
-        # classification raise "conjugation of generator 4 leaves the grade-1 subspace"
+        # A strong Cl(5,4) versor, entry peak 1.2e3: the Newton polish that the CSD
+        # fallback replaced left the rows off grade 1 by up to 4.7e-6, 3.9e-9 of
+        # the entry peak, which the residual accepts; judged at its own peak of
+        # 121, row 4 (1.9e-6 off) made the classification raise "conjugation of
+        # generator 4 leaves the grade-1 subspace"
         sig = Signature(5, 4)
         metric = sig.metric()
         spin = Multivector.scalar(sig, 1.0)
@@ -1137,9 +1157,224 @@ class TestStrongBoosts:
             assert np.max(np.abs(back.entries - matrix.entries)) <= 1e-8 * matrix_scale, angle
             assert max_diff(result.spin, canonicalize_sign(spin)) <= 1e-8 * spin.max_abs(), angle
 
-    def test_criterion_one_hard_case_polishes_to_roundoff(self):
+    def test_criterion_one_hard_case_lifts_to_roundoff(self):
         # input 44 of Cl(4,2) in the acceptance round trip: entry peak 5.5e3,
-        # where contracting the pulled-back row defects every step stalls near 2e-10
+        # where a Newton polish contracting the pulled-back row defects stalled near 2e-10
         sig = Signature(4, 2)
         s = random_versor(sig, 4, seed=20240915 + 4 * 1_000_003 + 2 * 10_007 + 44)
         assert recover_spin(forward_matrix(s)).residual <= 1e-10
+
+
+def action_matrix(spin, det=1.0):
+    """P read from the action of S, unvalidated: validate_pseudo_orthogonal rejects
+    many strong boosts over the rounding of their determinant (ROADMAP item 5)."""
+    t = rotorlift.recovery._get_tables(spin.sig)
+    return OrthoMatrix(spin.sig, rotorlift.recovery._light_action(t, spin.coeffs).block, 0.0, det)
+
+
+def block_unit_vector(sig, rng, low, high):
+    """A random unit vector in the span of the generators low..high-1 (0-based)."""
+    coords = np.zeros(sig.n)
+    coords[low:high] = rng.standard_normal(high - low)
+    return Multivector.from_vector(sig, coords / math.sqrt(float(np.sum(coords * coords))))
+
+
+class TestCsdLift:
+    """_csd_lift, the lift through the hyperbolic CS decomposition, and the fallback to it."""
+
+    # The lift-small must-reject probe "Cl(2,3) k=3 extreme" of seeds 22, 31 and
+    # 32: three reflections, so no central part, at entry peaks 4.2e4, 4.0e4 and
+    # 8.9e4; the numerator clears the degeneracy gate on rounding alone.
+    NO_CENTRAL_PART = {
+        22: [[-11616.682290410801, 7249.652708256273, -13221.63985601731, 706.0828365142468, 3492.0563243490287],
+             [-37070.74308334959, 23139.136615704447, -42194.6959142488, 2251.8827959438227, 11144.339175085872],
+             [28787.079084125773, -17968.56720953732, 32765.99380179732, -1748.1611229178857, -8654.415845582505],
+             [-22377.149691811595, 13966.913325063153, -25469.732043837357, 1360.2559721176428, 6727.105652880252],
+             [13407.25731320913, -8368.574031283664, 15260.620058629785, -814.3503406547674, -4029.626524691427]],
+        31: [[2046.8802691415285, 10533.666607444711, -3820.94966741081, -8359.569465094888, 5537.6702710041445],
+             [-7864.788189168724, -40494.788949360576, 14689.033985383447, 32135.98814905529, -21288.33884016722],
+             [-4653.022220745069, -23957.16813001847, 8690.79817882158, 19012.121249268588, -12593.879236153634],
+             [3368.2398700972917, 17342.539172120785, -6291.088557199192, -13762.193010703648, 9117.727461416805],
+             [5748.822095649539, 29598.58938367731, -10735.902782957079, -23489.26193172571, 15560.219000021807]],
+        32: [[89303.26371621432, -44841.54234378823, -63867.09711343546, 67480.95335819652, -36785.209926129064],
+             [-55458.640574737874, 27848.93412812517, 39663.34295838396, -41906.49923227974, 22844.87892135057],
+             [75907.7282156609, -38116.240597295095, -54287.31796769512, 57358.55309570427, -31268.42649982838],
+             [40339.417773170055, -20255.02299174553, -28848.910440330634, 30482.58537642343, -16615.864071703494],
+             [60510.18009083008, -30384.42524016837, -43276.02504403022, 45723.540114174066, -24924.661053182936]],
+    }
+
+    @staticmethod
+    def lift(matrix):
+        t = rotorlift.recovery._get_tables(matrix.sig)
+        return Multivector(matrix.sig, rotorlift.recovery._csd_lift(t, matrix))
+
+    @staticmethod
+    def apart(a, b):
+        """Distance of a from the nearer of +-b, over max(1, peak of b)."""
+        return min(max_diff(a, b), max_diff(a, -b)) / max(1.0, b.max_abs())
+
+    def test_lift_of_a_product_is_the_reversed_product(self):
+        # row a holds the image of e_a, so P(S1 S2) = P(S2) P(S1): lift(X Y) = lift(Y) lift(X)
+        sig = Signature(3, 2)
+        s1, s2 = random_versor(sig, 2, seed=1), random_versor(sig, 3, seed=2)
+        x, y = forward_matrix(s1).entries, forward_matrix(s2).entries
+        lifted = self.lift(validate_pseudo_orthogonal(np.einsum("ab,bc->ac", x, y), sig))
+        assert self.apart(lifted, s2 * s1) <= 1e-12
+        assert self.apart(lifted, s1 * s2) > 1e-2
+
+    @pytest.mark.parametrize("sig, offset", [(Signature(3, 1), 0), (Signature(1, 3), 1)])
+    def test_reflections_are_taken_in_reverse_order(self, sig, offset):
+        # W = H(v1) H(v2) on three generators of one metric lifts to v2 v1, not v1 v2
+        t = rotorlift.recovery._get_tables(sig)
+        rng = np.random.default_rng(7)
+        f1, f2 = (block_unit_vector(sig, rng, offset, offset + 3) for _ in range(2))
+        v1, v2 = (f.coeffs[t.grades == 1][offset:offset + 3] for f in (f1, f2))
+        h1, h2 = (np.eye(3) - 2.0 * np.outer(v, v) for v in (v1, v2))
+        one = Multivector.scalar(sig, 1.0).coeffs
+        lifted = Multivector(sig, rotorlift.recovery._lift_orthogonal(
+            t, one, np.einsum("ab,bc->ac", h1, h2), offset))
+        assert self.apart(lifted, f2 * f1) <= 1e-14
+        assert self.apart(lifted, f1 * f2) > 1e-2
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 2)])
+    def test_boost_bivector_takes_the_minus_sign(self, p, q):
+        # +sinh r at (1, p+1) and (p+1, 1) lifts to cosh(r/2) - sinh(r/2) e1 e_{p+1}
+        sig = Signature(p, q)
+        entries = np.eye(sig.n)
+        ch, sh = math.cosh(1.3), math.sinh(1.3)
+        entries[np.ix_([0, p], [0, p])] = [[ch, sh], [sh, ch]]
+        lifted = self.lift(validate_pseudo_orthogonal(entries, sig))
+        expected = mv(sig, {(): math.cosh(0.65), (1, p + 1): -math.sinh(0.65)})
+        assert self.apart(lifted, expected) <= 1e-15
+        assert self.apart(lifted, mv(sig, {(): math.cosh(0.65), (1, p + 1): math.sinh(0.65)})) > 1.0
+
+    @pytest.mark.parametrize("p, q, rapidities", [
+        (4, 2, ()),  # B = 0: s = 0 in both planes
+        (3, 5, (1.5,)),  # s = (sinh 1.5, 0, 0)
+        (2, 5, (1.5, 1.5)),  # one singular value twice
+        (5, 3, (2.0, 2.0)),  # twice, and s = 0 in the third plane
+    ])
+    def test_repeated_singular_values(self, p, q, rapidities):
+        sig = Signature(p, q)
+        rng = np.random.default_rng(p + 10 * q)
+        spin = Multivector.scalar(sig, 1.0)
+        for low, high in ((0, p), (0, p), (p, p + q), (p, p + q)):
+            spin = spin * block_unit_vector(sig, rng, low, high)
+        for i, r in enumerate(rapidities):
+            spin = spin * mv(sig, {(): math.cosh(r / 2.0), (i + 1, p + i + 1): math.sinh(r / 2.0)})
+        spin = spin * block_unit_vector(sig, rng, 0, p) * block_unit_vector(sig, rng, 0, p)
+        matrix = forward_matrix(spin)
+        lifted = self.lift(matrix)
+        assert twisted_adjoint_residual(lifted, matrix) <= 1e-11
+        assert self.apart(lifted, spin) <= 1e-12
+
+    def test_minus_identity_in_the_euclidean_plane_is_e12(self):
+        sig = Signature(2, 0)
+        lifted = self.lift(validate_pseudo_orthogonal(-np.eye(2), sig))
+        assert self.apart(lifted, mv(sig, {(1, 2): 1.0})) == 0.0
+
+    @pytest.mark.parametrize("sig", signatures_up_to(8))
+    def test_every_signature_and_reflection_count(self, sig):
+        # odd counts at even n included, which the paper's construction excludes
+        for k in range(6):
+            spin = random_versor(sig, k, seed=60 + k)
+            matrix = forward_matrix(spin)
+            lifted = self.lift(matrix)
+            assert twisted_adjoint_residual(lifted, matrix) <= 1e-11, k
+            assert self.apart(lifted, spin) <= 1e-10, k
+
+    def test_lift_large_probe_that_failed_verification(self):
+        # the lift-large seed-1 probe, Cl(5,4) k=4 at entry peak 6.5e4, rebuilt from its
+        # four unit vectors; the Newton polish ended in VerificationFailed at 2.5e-8
+        sig = Signature(5, 4)
+        spin = Multivector.scalar(sig, 1.0)
+        for v in ([-1.6361931894329025, -0.0007627307450808489, -0.11070782634160108, 0.11372040052791448,
+                   -0.5279380907360534, 0.746362486605842, 0.1358520640782788, -1.7533503498014082,
+                   -0.5755742532365724],
+                  [0.9940611164800981, 0.4913043940935109, 0.016472462057525183, -2.276876370243361,
+                   0.9327041018049399, 0.5255500533044796, 0.6166425150916423, -2.3294756501987095,
+                   0.4483348581587664],
+                  [0.9567928340220445, 4.2021762579244335, 0.70847863947709, -3.653847834229571,
+                   -1.1665400577906273, -1.6102503945081208, -5.446985846834478, -0.7001137527331364,
+                   -0.18541601666139906],
+                  [0.9886205568570312, -1.4871786434326149, -0.4678919200282391, 0.8124883761623493,
+                   -0.2247506042983937, -0.9385582532358522, -1.4141210104995752, -0.10837297546308385,
+                   0.47567787253278915]):
+            spin = spin * Multivector.from_vector(sig, v)
+        matrix = action_matrix(spin)
+        assert 6e4 < np.max(np.abs(matrix.entries)) < 7e4
+        result = recover_spin(matrix)
+        assert result.residual <= 1e-10
+        assert self.apart(result.spin, spin) <= 1e-10
+
+    @pytest.mark.parametrize("rapidity", [9.0, 10.0, 12.0])
+    def test_strong_boost_times_versor(self, rapidity):
+        # the Newton polish reached 8.0e-9 at rapidity 9 and failed verification at 10 and 12
+        sig = Signature(5, 4)
+        boost = mv(sig, {(): math.cosh(rapidity / 2.0), (1, 6): math.sinh(rapidity / 2.0)})
+        spin = boost * random_versor(sig, 4, seed=2)
+        matrix = action_matrix(spin)
+        result = recover_spin(matrix)
+        assert result.residual <= 1e-9
+        assert self.apart(result.spin, spin) <= 1e-9
+
+    @pytest.mark.parametrize("seed", sorted(NO_CENTRAL_PART))
+    def test_lift_outside_the_domain_is_rejected(self, seed):
+        matrix = validate_pseudo_orthogonal(self.NO_CENTRAL_PART[seed], Signature(2, 3))
+        scale = 2.0 ** 5 * float(np.max(np.abs(matrix.entries)))
+        # the numerator clears the gate on rounding, and the lift would verify ...
+        assert np.max(np.abs(spin_numerator(matrix).coeffs)) >= 1e-8 * scale
+        lifted = self.lift(matrix)
+        assert twisted_adjoint_residual(lifted, matrix) <= 1e-8
+        assert abs(lifted[0]) + abs(lifted[0b11111]) <= 1e-12 * lifted.max_abs()
+        # ... but the numerator it implies, 2^n S center(S^-1), vanishes
+        with pytest.raises(CenterProjectionVanishesError, match="numerator sum is numerically zero"):
+            recover_spin(matrix)
+
+    @pytest.mark.parametrize("rapidity", range(13))
+    def test_hestenes_boost_times_turn(self, rapidity):
+        sig = Signature(1, 3)
+        for angle in np.linspace(0.1, math.pi - 0.1, 5):
+            _, spin = boost_turn(sig, 0.0, angle)
+            spin = mv(sig, {(): math.cosh(rapidity / 2.0), (1, 2): math.sinh(rapidity / 2.0)}) * spin
+            result = recover_hestenes(action_matrix(spin))
+            assert result.residual <= 1e-10, angle
+            assert self.apart(result.spin, spin) <= 1e-10, angle
+            assert result.groups.in_spin_plus, angle
+
+    @pytest.mark.parametrize("sig", [Signature(1, 3), Signature(2, 3), Signature(3, 3), Signature(4, 3)])
+    def test_implied_sums_match_the_computed_ones(self, sig):
+        # the fallback's guard: 2^n S center(S^-1) is the numerator, and in Cl(1,3)
+        # 4 S (x_0 - x_I I), x = S^-1, is the grade-1 contraction sum_a row_a e^a
+        t = rotorlift.recovery._get_tables(sig)
+        for k in versor_ks(sig.n):
+            spin = random_versor(sig, k, seed=70 + k)
+            lam = rotorlift.recovery._gram_scalar(t, spin.coeffs)
+            matrix = forward_matrix(spin)
+            implied = rotorlift.recovery._implied_peak(t, spin.coeffs, lam, sig.n % 2)
+            numerator = spin_numerator(matrix).max_abs()
+            assert implied * 2.0 ** sig.n == pytest.approx(numerator, rel=1e-9, abs=1e-9), k
+            if (sig.p, sig.q) == (1, 3):
+                reciprocals = np.diag(sig.metric())  # e^a = e_a / e_a^2
+                contraction = sum((Multivector.from_vector(sig, row) * Multivector.from_vector(sig, dual)
+                                   for row, dual in zip(matrix.entries, reciprocals)), Multivector.zero(sig))
+                implied = rotorlift.recovery._implied_peak(t, spin.coeffs, lam, -1.0)
+                assert 4.0 * implied == pytest.approx(contraction.max_abs(), rel=1e-9, abs=1e-9), k
+
+    def test_lift_is_byte_identical_under_another_blas_kernel(self):
+        code = (
+            "import hashlib, rotorlift.recovery as r\n"
+            "from rotorlift import Signature, forward_matrix, random_versor\n"
+            "digest = hashlib.sha256()\n"
+            "for p, q in ((1, 3), (3, 3), (5, 4), (2, 6)):\n"
+            "    for k in range(5):\n"
+            "        matrix = forward_matrix(random_versor(Signature(p, q), k, seed=k))\n"
+            "        digest.update(r._csd_lift(r._get_tables(matrix.sig), matrix).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rotorlift.__file__))
+        digests = [subprocess.run([sys.executable, "-c", code], env=dict(env, **kernel), capture_output=True,
+                                  text=True, check=True, timeout=120).stdout
+                   for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+        assert digests[0] == digests[1] and len(digests[0].strip()) == 64

@@ -496,34 +496,6 @@ def center_project(u: Multivector) -> CenterElement:
     return CenterElement(u.sig, u.scalar_part)
 
 
-def average_over_basis(u: Multivector) -> Multivector:
-    """Average of e_A U e^A over all 2**n basis blades.
-
-    Equals the embedding of ``center_project(u)``; computed here literally,
-    term by term, so the two routes can cross-validate each other.
-    """
-    t = _get_tables(u.sig)
-    acc = np.zeros(t.size)
-    for mask in range(t.size):
-        term = _blade_mul_right(t, u.coeffs, mask, float(t.blade_square[mask]))
-        acc += _blade_mul_left(t, term, mask)
-    return Multivector(u.sig, acc / t.size)
-
-
-def generator_conjugation(u: Multivector) -> Multivector:
-    """Sum of e_a U e^a over the n generators.
-
-    On a pure grade-k input this is (-1)^k (n - 2k) times the input.
-    """
-    t = _get_tables(u.sig)
-    acc = np.zeros(t.size)
-    for a in range(t.n):
-        bit = 1 << a
-        term = _blade_mul_right(t, u.coeffs, bit, float(t.metric[a]))
-        acc += _blade_mul_left(t, term, bit)
-    return Multivector(u.sig, acc)
-
-
 def versor_inverse(s: Multivector, tol: float = 1e-8) -> Multivector:
     """Inverse of a unit versor, computed as sign(reverse(S)S) * reverse(S)."""
     reversed_s = involution(s, "reverse")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import io
 from .algebra import Signature
@@ -40,9 +39,16 @@ from .errors import (
     VerificationFailedError,
     WrongComponentError,
 )
-from .matrices import classify_component, validate_pseudo_orthogonal
-from .recovery import classify_spin, forward_matrix, recover_hestenes, recover_spin, rotor_from_frames
-from .selftest import SelftestConfig, run_selftest
+from .matrices import DEFAULT_ORTHO_TOLERANCE, classify_component, validate_pseudo_orthogonal
+from .recovery import (
+    DEFAULT_RESIDUAL_TOLERANCE,
+    classify_spin,
+    forward_matrix,
+    recover_hestenes,
+    recover_spin,
+    rotor_from_frames,
+)
+from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -71,18 +77,6 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
 )
 
 
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    signature: Signature | None = None
-    tol_ortho: float = 1e-9
-    tol_residual: float = 1e-8
-    method: str = "general"
-    seed: int = 0
-
-
 def _parse_signature(text: str) -> Signature:
     try:
         p_text, q_text = text.split(",")
@@ -107,8 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="input file path")
         p.add_argument("--output", help="write the result document here instead of stdout")
         p.add_argument("--signature", help="p,q (required for CSV input, optional otherwise)")
-        p.add_argument("--tol-ortho", type=float, default=1e-9, help="orthogonality tolerance")
-        p.add_argument("--tol-residual", type=float, default=1e-8, help="verification tolerance")
+        p.add_argument("--tol-ortho", type=float, default=DEFAULT_ORTHO_TOLERANCE,
+                       help="orthogonality tolerance")
+        p.add_argument("--tol-residual", type=float, default=DEFAULT_RESIDUAL_TOLERANCE,
+                       help="verification tolerance")
 
     recover = sub.add_parser("recover", help="matrix -> spin element")
     add_common(recover)
@@ -126,84 +122,75 @@ def _build_parser() -> argparse.ArgumentParser:
     classify = sub.add_parser("classify", help="group membership of a matrix or versor")
     add_common(classify)
 
-    selftest = sub.add_parser("selftest", help="run the reduced-scale invariant suites")
+    selftest = sub.add_parser("selftest", help="round-trip smoke check on random versors, n <= 6")
     add_common(selftest, needs_input=False)
     selftest.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _emit(doc, config: CliConfig) -> None:
-    text = io.dumps(doc) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_recover(config: CliConfig) -> int:
-    matrix = io.load_matrix_file(config.input_path, config.signature, tol=config.tol_ortho)
-    if config.method == "hestenes":
-        result = recover_hestenes(matrix, residual_tol=config.tol_residual)
+def _emit(doc, args: argparse.Namespace) -> None:
+    _write(io.dumps(doc) + "\n", args)
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    matrix = io.load_matrix_file(args.input, args.signature, tol=args.tol_ortho)
+    if args.method == "hestenes":
+        result = recover_hestenes(matrix, residual_tol=args.tol_residual)
     else:
-        result = recover_spin(matrix, residual_tol=config.tol_residual)
-    _emit(io.rotor_result_to_doc(result), config)
+        result = recover_spin(matrix, residual_tol=args.tol_residual)
+    _emit(io.rotor_result_to_doc(result), args)
     return EXIT_OK
 
 
-def _cmd_frames(config: CliConfig) -> int:
-    frames = io.load_frames_file(config.input_path, config.signature)
+def _cmd_frames(args: argparse.Namespace) -> int:
+    frames = io.load_frames_file(args.input, args.signature)
     result = rotor_from_frames(
-        frames, ortho_tol=config.tol_ortho, residual_tol=config.tol_residual
+        frames, ortho_tol=args.tol_ortho, residual_tol=args.tol_residual
     )
-    _emit(io.rotor_result_to_doc(result), config)
+    _emit(io.rotor_result_to_doc(result), args)
     return EXIT_OK
 
 
-def _cmd_forward(config: CliConfig) -> int:
-    rotor = io.load_multivector_file(config.input_path, config.signature)
-    matrix = forward_matrix(rotor, ortho_tol=config.tol_ortho)
-    component = classify_component(matrix, tol=config.tol_ortho)
+def _cmd_forward(args: argparse.Namespace) -> int:
+    rotor = io.load_multivector_file(args.input, args.signature)
+    matrix = forward_matrix(rotor, ortho_tol=args.tol_ortho)
+    component = classify_component(matrix, tol=args.tol_ortho)
     _emit(
         {"matrix": io.matrix_to_doc(matrix), "component": io.component_to_doc(component)},
-        config,
+        args,
     )
     return EXIT_OK
 
 
-def _cmd_classify(config: CliConfig) -> int:
-    doc = io._parse_json(io._read_text(config.input_path))
+def _cmd_classify(args: argparse.Namespace) -> int:
+    doc = io._parse_json(io._read_text(args.input))
     if isinstance(doc, dict) and "entries" in doc:
         entries, sig = io.matrix_from_doc(doc)
-        if config.signature is not None and config.signature != sig:
-            raise ParseError(f"file signature {sig} conflicts with requested {config.signature}")
-        matrix = validate_pseudo_orthogonal(entries, sig, tol=config.tol_ortho)
-        _emit(io.component_to_doc(classify_component(matrix, tol=config.tol_ortho)), config)
+        if args.signature is not None and args.signature != sig:
+            raise ParseError(f"file signature {sig} conflicts with requested {args.signature}")
+        matrix = validate_pseudo_orthogonal(entries, sig, tol=args.tol_ortho)
+        _emit(io.component_to_doc(classify_component(matrix, tol=args.tol_ortho)), args)
         return EXIT_OK
     rotor = io.multivector_from_doc(doc)
-    if config.signature is not None and config.signature != rotor.sig:
-        raise ParseError(f"file signature {rotor.sig} conflicts with requested {config.signature}")
+    if args.signature is not None and args.signature != rotor.sig:
+        raise ParseError(f"file signature {rotor.sig} conflicts with requested {args.signature}")
     tags = classify_spin(rotor)
-    _emit({"groups": tags.group_names()}, config)
+    _emit({"groups": tags.group_names()}, args)
     return EXIT_OK
 
 
-def _cmd_selftest(config: CliConfig) -> int:
-    suite_config = SelftestConfig(
-        seed=config.seed, tol_residual=config.tol_residual, tol_ortho=config.tol_ortho
-    )
-    results = run_selftest(suite_config)
-    width = max(len(r.name) for r in results)
-    lines = [
-        f"{r.name.ljust(width)}  {'PASS' if r.passed else 'FAIL'}  {r.detail}" for r in results
-    ]
-    text = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_SELFTEST
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    passed, line = run_selftest(args.seed, args.tol_residual, args.tol_ortho)
+    _write(line + "\n", args)
+    return EXIT_OK if passed else EXIT_SELFTEST
 
 
 _COMMANDS = {
@@ -231,19 +218,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            output_path=args.output,
-            signature=_parse_signature(args.signature) if args.signature else None,
-            tol_ortho=args.tol_ortho,
-            tol_residual=args.tol_residual,
-            method=getattr(args, "method", "general"),
-            seed=getattr(args, "seed", 0),
-        )
-        if not (0 < config.tol_ortho < math.inf and 0 < config.tol_residual < math.inf):
+        args.signature = _parse_signature(args.signature) if args.signature else None
+        if not (0 < args.tol_ortho < math.inf and 0 < args.tol_residual < math.inf):
             raise ParseError("tolerances must be positive and finite")
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except RotorLiftError as exc:
         return _error_exit(exc)
     except (ValueError, OSError) as exc:

@@ -21,8 +21,13 @@ import numpy as np
 
 from .algebra import Multivector, Signature, blade_label
 from .errors import ParseError
-from .matrices import GroupComponent, OrthoMatrix, validate_pseudo_orthogonal
-from .recovery import RotorResult, SpinGroupTags
+from .matrices import (
+    DEFAULT_ORTHO_TOLERANCE,
+    GroupComponent,
+    OrthoMatrix,
+    validate_pseudo_orthogonal,
+)
+from .recovery import RotorResult
 
 
 def parse_blade_label(label: str, n: int) -> int:
@@ -152,10 +157,6 @@ def frames_from_doc(doc) -> list[Multivector]:
     return frames
 
 
-def tags_to_names(tags: SpinGroupTags) -> list[str]:
-    return tags.group_names()
-
-
 def rotor_result_to_doc(result: RotorResult) -> dict:
     doc = {
         "S": multivector_to_doc(result.spin),
@@ -177,7 +178,9 @@ def component_to_doc(component: GroupComponent) -> dict:
     }
 
 
-def load_matrix_file(path: str, sig: Signature | None = None, tol: float = 1e-9) -> OrthoMatrix:
+def load_matrix_file(
+    path: str, sig: Signature | None = None, tol: float = DEFAULT_ORTHO_TOLERANCE
+) -> OrthoMatrix:
     """Read a matrix from JSON ({"p","q","entries"}) or CSV (rows of numbers).
 
     CSV carries no signature, so one must be supplied; for JSON a supplied

@@ -7,7 +7,6 @@ e_a, i.e. row a holds the coordinates of the a-th transformed frame vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -190,29 +189,15 @@ def frame_vector(matrix: OrthoMatrix, a: int) -> Multivector:
     return Multivector.from_vector(matrix.sig, matrix.entries[a - 1])
 
 
-def frame_blade(matrix: OrthoMatrix, indices, method: str = "product") -> Multivector:
+def frame_blade(matrix: OrthoMatrix, indices) -> Multivector:
     """Product of transformed frame vectors over an ascending multi-index.
 
-    method="product" multiplies the frame vectors directly; method="minors"
-    builds the same grade-k element as a sum of k x k minors over all column
-    multi-indices.  The two agree for pseudo-orthogonal input, which is
-    exactly what makes the second form a useful cross-check.
+    ``rotorlift.reference.frame_blade`` builds the same grade-k element from
+    its k x k minors, as an independent check.
     """
-    sig = matrix.sig
-    indices = _check_multi_index(indices, sig.n)
-    t = _get_tables(sig)
-    if method == "product":
-        arr = np.zeros(t.size)
-        arr[0] = 1.0
-        for a in indices:
-            arr = _vector_mul_right(t, arr, matrix.entries[a - 1])
-        return Multivector(sig, arr)
-    if method == "minors":
-        arr = np.zeros(t.size)
-        for cols in combinations(range(1, sig.n + 1), len(indices)):
-            mask = 0
-            for b in cols:
-                mask |= 1 << (b - 1)
-            arr[mask] = minor(matrix, indices, cols)
-        return Multivector(sig, arr)
-    raise ValueError(f"unknown method {method!r}; expected 'product' or 'minors'")
+    t = _get_tables(matrix.sig)
+    arr = np.zeros(t.size)
+    arr[0] = 1.0
+    for a in _check_multi_index(indices, matrix.sig.n):
+        arr = _vector_mul_right(t, arr, matrix.entries[a - 1])
+    return Multivector(matrix.sig, arr)

@@ -89,6 +89,7 @@ from .errors import (
     WrongComponentError,
 )
 from .matrices import (
+    DEFAULT_ORTHO_TOLERANCE,
     OrthoMatrix,
     classify_component,
     minor,
@@ -97,6 +98,10 @@ from .matrices import (
 
 DEFAULT_RESIDUAL_TOLERANCE = 1e-8
 DEFAULT_DEGENERACY_TOLERANCE = 1e-8
+# How far classify_spin and forward_matrix let S miss the Lipschitz group.
+DEFAULT_CLASSIFY_TOLERANCE = 1e-8
+# Smallest |lambda| = |<reverse(S)*S>_0| at which a candidate's action is formed.
+_MIN_LAMBDA = 1e-9
 # Residual above which recover_spin and recover_hestenes set the CSD lift
 # (_csd_fallback) against their candidate.
 _FALLBACK_THRESHOLD = 1e-11
@@ -189,40 +194,19 @@ def _numerator_array(matrix: OrthoMatrix) -> np.ndarray:
     return y * t.reverse_signs
 
 
-def spin_numerator(matrix: OrthoMatrix, method: str = "product") -> Multivector:
-    """The 2^n-term sum of det^|A| * frame blade(A) * e^A.
+def spin_numerator(matrix: OrthoMatrix) -> Multivector:
+    """The 2^n-term sum of det^|A| * frame blade(A) * e^A, in nested form.
 
     For even n the matrix must have determinant +1; there is no recovery
     formula for the improper even-dimensional components.  The result is
-    always an even element.
-
-    method="product" sums the terms in nested form, n vector products in
-    all; method="minors" rebuilds every frame blade from explicit minors
-    instead of products of frame vectors; it is much slower and exists for
-    cross-validation.
+    always an even element.  ``rotorlift.reference.spin_numerator`` sums the
+    terms one by one from minors, as an independent check.
     """
-    sig = matrix.sig
-    n = sig.n
-    if n % 2 == 0 and matrix.det_sign < 0:
+    if matrix.sig.n % 2 == 0 and matrix.det_sign < 0:
         raise SpecialOrthogonalRequiredError(
             "even-dimensional recovery needs det = +1; this matrix has det = -1"
         )
-    if method == "minors":
-        from .matrices import frame_blade
-
-        t = _get_tables(sig)
-        det_sign = matrix.det_sign
-        acc = np.zeros(t.size)
-        acc[0] = 1.0
-        for mask in range(1, t.size):
-            indices = [a + 1 for a in range(n) if mask >> a & 1]
-            blade = frame_blade(matrix, indices, method="minors")
-            factor = float(t.blade_square[mask]) * (det_sign if len(indices) % 2 else 1)
-            acc += _blade_mul_right(t, blade.coeffs, mask, factor)
-        return Multivector(sig, acc)
-    if method != "product":
-        raise ValueError(f"unknown method {method!r}; expected 'product' or 'minors'")
-    return Multivector(sig, _numerator_array(matrix))
+    return Multivector(matrix.sig, _numerator_array(matrix))
 
 
 def spinor_norm_sign(matrix: OrthoMatrix) -> int:
@@ -277,9 +261,10 @@ def central_sqrt_candidates(z: CenterElement, tol: float = 1e-12) -> list[Center
     return [CenterElement(sig, w.real, w.imag)]
 
 
-def _central_inverse(z: CenterElement, tiny: float = 1e-300) -> CenterElement | None:
+def _central_inverse(z: CenterElement) -> CenterElement | None:
     """Inverse in the center algebra, or None when z is not invertible."""
     sig = z.sig
+    tiny = 1e-300
     if sig.n % 2 == 0:
         if abs(z.scalar_part) < tiny:
             return None
@@ -343,7 +328,7 @@ def _usable_gram(gram: np.ndarray, peak: float) -> bool:
 def _usable(lam: float, off_scalar: float, peak: float) -> bool:
     """``_usable_gram`` from lambda and the (bound on the) largest off-scalar coefficient."""
     lam = abs(lam)
-    return not (lam < 1e-9 or off_scalar > 1e-6 * max(1.0, lam, peak * peak))
+    return not (lam < _MIN_LAMBDA or off_scalar > 1e-6 * max(1.0, lam, peak * peak))
 
 
 class _Action:
@@ -504,14 +489,14 @@ class _Action:
         return float(np.max(np.abs(self.rows[:, ~vector_slots])))
 
 
-def _twisted_action(t, s_arr: np.ndarray, admit=_usable_gram) -> _Action:
+def _twisted_action(t, s_arr: np.ndarray) -> _Action:
     """The action of S: one product for reverse(S)*S, and the rest on demand.
 
-    Only an action whose gram ``admit(gram, coefficient peak of S)`` accepts
-    can form its block, rows or probe.
+    Only an action whose gram is usable (``_usable_gram``) can form its
+    block, rows or probe.
     """
     gram = _gram(t, s_arr)
-    return _Action(t, s_arr, gram[0], gram, admit(gram, float(np.max(np.abs(s_arr)))))
+    return _Action(t, s_arr, gram[0], gram, _usable_gram(gram, float(np.max(np.abs(s_arr)))))
 
 
 def _entry_scale(matrix: OrthoMatrix) -> float:
@@ -580,13 +565,15 @@ def recover_spin(
 ) -> RotorResult:
     """Find the +-S double-cover preimages of a pseudo-orthogonal matrix.
 
-    Builds the numerator sum in nested form (``spin_numerator(matrix,
-    method="minors")`` is its independent reference), normalizes by the
-    central square root whose sign is fixed by the component of the group,
-    and keeps the candidate with the smallest verification residual, or the
-    CS-decomposition lift where that verifies better (``_csd_fallback``).
-    The returned representative is sign-canonicalized; the other preimage is
-    its negative.
+    Builds the numerator sum in nested form (``spin_numerator``),
+    normalizes by the central square root whose sign is fixed by the
+    component of the group, and keeps the candidate with the smallest
+    verification residual, or the CS-decomposition lift where that verifies
+    better (``_csd_fallback``).  The returned representative is
+    sign-canonicalized; the other preimage is its negative.
+
+    Before a VerificationFailedError is raised, the sum that ``_csd_lift``
+    implies is put to the degeneracy gate, as in ``_csd_fallback``.
     """
     sig = matrix.sig
     t = _get_tables(sig)
@@ -602,6 +589,9 @@ def recover_spin(
                 "has vanishing central part and cannot be recovered by this construction"
             )
 
+    def guard(s_arr: np.ndarray, lam: float) -> None:  # the lift implies N = 2^n S center(S^-1)
+        gate(float(1 << sig.n) * _implied_peak(t, s_arr, lam, sig.n % 2))
+
     gate(peak)
     warning = None
     if peak < scale * math.sqrt(degeneracy_tol):
@@ -611,32 +601,37 @@ def recover_spin(
         )
     norm_sign = spinor_norm_sign(matrix)
     certify = sig.n >= _LIFT_CERTIFICATE_DIMENSION
-    if certify:
-        scalar, pseudo = _central_parts(t, numerator * t.reverse_signs, numerator)
-        central = CenterElement(sig, scalar * norm_sign, pseudo * norm_sign if sig.n % 2 else 0.0)
-    else:
-        central = _central_gram(t, numerator, norm_sign, peak)
     try:
-        roots = central_sqrt_candidates(central)
-    except NoRealRootError:
-        if certify:  # a non-central reverse(N)*N is reported first, as below n0
-            _central_gram(t, numerator, norm_sign, peak)
+        if certify:
+            scalar, pseudo = _central_parts(t, numerator * t.reverse_signs, numerator)
+            central = CenterElement(sig, scalar * norm_sign, pseudo * norm_sign if sig.n % 2 else 0.0)
+        else:
+            central = _central_gram(t, numerator, norm_sign, peak)
+        try:
+            roots = central_sqrt_candidates(central)
+        except NoRealRootError:
+            if certify:  # a non-central reverse(N)*N is reported first, as below n0
+                _central_gram(t, numerator, norm_sign, peak)
+            raise
+        candidates = _candidates(t, numerator, roots)
+        # Candidates are compared on their blocks; a winner's block defect above
+        # _FALLBACK_THRESHOLD stands as its residual, a lower bound, for the lift.
+        if certify:
+            best, best_action, best_residual = _certified_winner(
+                t, numerator, candidates, matrix, norm_sign, peak, residual_tol)
+        else:
+            _, best, best_action, best_residual = _choose(t, candidates, matrix, _twisted_action)
+            if best_residual <= _FALLBACK_THRESHOLD:
+                best_residual = _residual(best_action, matrix)
+        if best_residual > _FALLBACK_THRESHOLD:
+            best, best_action, best_residual = _csd_fallback(
+                t, matrix, best, best_action, best_residual, residual_tol, guard)
+        return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning,
+                         matrix)
+    except VerificationFailedError:  # the sum may have cleared the gate on rounding alone
+        lift = _csd_lift(t, matrix)
+        guard(lift, _gram_scalar(t, lift))
         raise
-    candidates = _candidates(t, numerator, roots)
-    # Candidates are compared on their blocks; a winner's block defect above
-    # _FALLBACK_THRESHOLD stands as its residual, a lower bound, for the lift.
-    if certify:
-        best, best_action, best_residual = _certified_winner(
-            t, numerator, candidates, matrix, norm_sign, peak, residual_tol)
-    else:
-        _, best, best_action, best_residual = _choose(t, candidates, matrix, _twisted_action)
-        if best_residual <= _FALLBACK_THRESHOLD:
-            best_residual = _residual(best_action, matrix)
-    if best_residual > _FALLBACK_THRESHOLD:  # the lift implies N = 2^n S center(S^-1)
-        best, best_action, best_residual = _csd_fallback(
-            t, matrix, best, best_action, best_residual, residual_tol,
-            lambda s, lam: gate(float(1 << sig.n) * _implied_peak(t, s, lam, sig.n % 2)))
-    return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning, matrix)
 
 
 def _central_gram(t, numerator: np.ndarray, norm_sign: int, peak: float) -> CenterElement:
@@ -678,9 +673,9 @@ def _candidates(t, numerator: np.ndarray, roots) -> list:
 
 
 def _light_action(t, s_arr: np.ndarray) -> _Action:
-    """The action of S without its dense gram: admitted while |lambda| >= 1e-9."""
+    """The action of S without its dense gram: admitted while |lambda| >= ``_MIN_LAMBDA``."""
     lam = _gram_scalar(t, s_arr)
-    return _Action(t, s_arr, lam, admitted=not abs(lam) < 1e-9)
+    return _Action(t, s_arr, lam, admitted=not abs(lam) < _MIN_LAMBDA)
 
 
 def _choose(t, candidates, matrix: OrthoMatrix, make_action, skip_image=False):
@@ -985,7 +980,7 @@ def recover_hestenes(
     off = gram.copy()
     off[0] = 0.0
     off[-1] = 0.0
-    if float(np.max(np.abs(off))) > 1e-7 * max(1.0, peak * peak):
+    if float(np.max(np.abs(off))) > _non_central_limit(peak):
         raise VerificationFailedError(
             float(np.max(np.abs(off))),
             "reverse(L)*L left the scalar + pseudoscalar plane",
@@ -1010,7 +1005,7 @@ def recover_hestenes(
 def rotor_from_frames(
     frames: list[Multivector],
     *,
-    ortho_tol: float = 1e-9,
+    ortho_tol: float = DEFAULT_ORTHO_TOLERANCE,
     residual_tol: float = DEFAULT_RESIDUAL_TOLERANCE,
     degeneracy_tol: float = DEFAULT_DEGENERACY_TOLERANCE,
 ) -> RotorResult:
@@ -1051,7 +1046,7 @@ def rotor_from_frames(
     )
 
 
-def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
+def classify_spin(s: Multivector, tol: float = DEFAULT_CLASSIFY_TOLERANCE) -> SpinGroupTags:
     """Classify a versor into the five normalized versor groups.
 
     Checks parity, that reverse(S)*S is a real scalar, and that conjugation
@@ -1068,7 +1063,8 @@ def classify_spin(s: Multivector, tol: float = 1e-8) -> SpinGroupTags:
     return _classify(_get_tables(s.sig), s.coeffs, tol)[0]
 
 
-def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None, row_scale=None):
+def _classify(t, s_arr: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOLERANCE, action=None,
+              row_scale=None):
     """classify_spin on a coefficient array, also returning the action.
 
     ``action`` is the action of S or of -S (they coincide) if already known:
@@ -1091,19 +1087,18 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None, row_scale=No
         )
     is_even = even_peak >= odd_peak
 
-    def lipschitz(gram: np.ndarray, peak: float) -> bool:
+    def lipschitz(gram: np.ndarray, peak: float) -> None:
         # Roundoff in the products scales with the square of the coefficient peak.
         if _off_scalar(gram) > tol * max(1.0, abs(gram[0]), peak * peak):
             raise NotInLipschitzGroupError("reverse(S)*S is not a real scalar")
         if abs(gram[0]) <= tol:
             raise NotInLipschitzGroupError("S is not invertible")
-        return True
 
     bounds = None
     if action is None:
         lam = _gram_scalar(t, s_arr)
         if abs(lam) <= tol:
-            _twisted_action(t, s_arr, lipschitz)  # rejects a scalar this small
+            lipschitz(_gram(t, s_arr), peak)  # rejects a scalar this small
         action = _Action(t, s_arr, lam)
         bounds = action.certificate()
     elif action.certified:
@@ -1152,8 +1147,8 @@ def _classify(t, s_arr: np.ndarray, tol: float = 1e-8, action=None, row_scale=No
 def forward_matrix(
     s: Multivector,
     *,
-    tol: float = 1e-8,
-    ortho_tol: float = 1e-9,
+    tol: float = DEFAULT_CLASSIFY_TOLERANCE,
+    ortho_tol: float = DEFAULT_ORTHO_TOLERANCE,
 ) -> OrthoMatrix:
     """Matrix of the conjugation action: row a holds grade_involution(S) e_a S^-1.
 

@@ -1,164 +1,56 @@
-"""Reduced-scale invariant suites behind the `selftest` CLI command."""
+"""The round-trip smoke check behind the `selftest` CLI command.
+
+Random versors in every Cl(p,q) with n <= 6 go to their matrices and are
+lifted back; the check passes when every lift verifies and matches its
+versor up to sign.  The full acceptance criteria are in the test suite.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import (
-    Multivector,
-    Signature,
-    average_over_basis,
-    center_project,
-    generator_conjugation,
-    grade_project,
-)
+from .algebra import Signature
 from .errors import CenterProjectionVanishesError, RotorLiftError
-from .matrices import classify_component, frame_blade, minor
-from .recovery import canonicalize_sign, forward_matrix, random_versor, recover_spin
-
-
-@dataclass
-class SelftestConfig:
-    seed: int = 0
-    max_n: int = 6
-    versors_per_signature: int = 8
-    multivectors_per_signature: int = 40
-    matrices_per_signature: int = 3
-    tol_residual: float = 1e-8
-    tol_ortho: float = 1e-9
-    tol_algebra: float = 1e-10
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _signatures(max_n: int) -> list[Signature]:
-    return [Signature(p, n - p) for n in range(1, max_n + 1) for p in range(n + 1)]
-
-
-def _random_multivector(sig: Signature, rng) -> Multivector:
-    return Multivector(sig, rng.uniform(-1.0, 1.0, 1 << sig.n))
-
-
-def _versor_seed(config: SelftestConfig, sig: Signature, i: int) -> int:
-    return config.seed * 1000003 + sig.p * 7919 + sig.q * 104729 + i
-
-
-def _roundtrip_suite(config: SelftestConfig) -> SuiteResult:
-    worst = 0.0
-    tested = 0
-    skipped = 0
-    failures = 0
-    for sig in _signatures(config.max_n):
-        counts = (0, 2, 4) if sig.n % 2 == 0 else (0, 1, 2, 3, 4)
-        for i in range(config.versors_per_signature):
-            k = counts[i % len(counts)]
-            s = random_versor(sig, k, seed=_versor_seed(config, sig, i))
-            matrix = forward_matrix(s, ortho_tol=config.tol_ortho)
-            try:
-                result = recover_spin(matrix, residual_tol=config.tol_residual)
-            except CenterProjectionVanishesError:
-                skipped += 1
-                continue
-            except RotorLiftError:
-                failures += 1
-                continue
-            tested += 1
-            worst = max(worst, result.residual)
-            diff = canonicalize_sign(s).coeffs - result.spin.coeffs
-            worst = max(worst, float(np.max(np.abs(diff))) / max(1.0, s.max_abs()))
-    passed = tested > 0 and failures == 0 and worst <= config.tol_residual
-    return SuiteResult(
-        "round-trip",
-        passed,
-        f"{tested} recovered, {skipped} degenerate, {failures} failed, worst {worst:.3e}",
-    )
-
-
-def _averaging_suite(config: SelftestConfig) -> SuiteResult:
-    rng = np.random.default_rng(config.seed + 1)
-    worst = 0.0
-    for sig in _signatures(config.max_n):
-        for _ in range(config.multivectors_per_signature):
-            u = _random_multivector(sig, rng)
-            diff = average_over_basis(u).coeffs - center_project(u).embed().coeffs
-            worst = max(worst, float(np.max(np.abs(diff))))
-    passed = worst <= config.tol_algebra
-    return SuiteResult("averaging-identity", passed, f"worst deviation {worst:.3e}")
-
-
-def _conjugation_suite(config: SelftestConfig) -> SuiteResult:
-    rng = np.random.default_rng(config.seed + 2)
-    worst = 0.0
-    for sig in _signatures(config.max_n):
-        n = sig.n
-        for k in range(n + 1):
-            u = grade_project(_random_multivector(sig, rng), k)
-            expected = ((-1) ** k) * (n - 2 * k)
-            diff = generator_conjugation(u).coeffs - expected * u.coeffs
-            worst = max(worst, float(np.max(np.abs(diff))))
-    passed = worst <= config.tol_algebra
-    return SuiteResult("generator-conjugation", passed, f"worst deviation {worst:.3e}")
-
-
-def _random_matrices(config: SelftestConfig, sig: Signature):
-    for i in range(config.matrices_per_signature):
-        k = (2, 3, 4)[i % 3]
-        s = random_versor(sig, k, seed=_versor_seed(config, sig, 500 + i))
-        yield forward_matrix(s, ortho_tol=config.tol_ortho)
-
-
-def _frame_blade_suite(config: SelftestConfig) -> SuiteResult:
-    # Deviations are scaled by E^k (entry peak to the blade length): the
-    # backward-error magnitude of a k-fold product of rows.
-    worst = 0.0
-    for sig in _signatures(config.max_n):
-        for matrix in _random_matrices(config, sig):
-            entry_peak = max(1.0, float(np.max(np.abs(matrix.entries))))
-            for mask in range(1 << sig.n):
-                indices = [a + 1 for a in range(sig.n) if mask >> a & 1]
-                product = frame_blade(matrix, indices, method="product")
-                minors = frame_blade(matrix, indices, method="minors")
-                diff = float(np.max(np.abs(product.coeffs - minors.coeffs)))
-                worst = max(worst, diff / entry_peak ** len(indices))
-    passed = worst <= config.tol_ortho
-    return SuiteResult("frame-blade-minors", passed, f"worst scaled deviation {worst:.3e}")
-
-
-def _minor_identity_suite(config: SelftestConfig) -> SuiteResult:
-    worst = 0.0
-    smallest = np.inf
-    for sig in _signatures(config.max_n):
-        p, n = sig.p, sig.n
-        for matrix in _random_matrices(config, sig):
-            component = classify_component(matrix, tol=config.tol_ortho)
-            top = minor(matrix, range(1, p + 1), range(1, p + 1))
-            bottom = minor(matrix, range(p + 1, n + 1), range(p + 1, n + 1))
-            worst = max(worst, abs(top - bottom / matrix.det) / max(1.0, abs(top)))
-            smallest = min(smallest, abs(top), abs(bottom))
-            if component.top_minor_sign != component.bottom_minor_sign * component.det_sign:
-                return SuiteResult("minor-identity", False, "sign relation violated")
-    passed = worst <= config.tol_ortho and smallest >= 1.0 - config.tol_ortho
-    return SuiteResult(
-        "minor-identity", passed, f"worst deviation {worst:.3e}, smallest |minor| {smallest:.6f}"
-    )
-
-
-_SUITES = (
-    _roundtrip_suite,
-    _averaging_suite,
-    _conjugation_suite,
-    _frame_blade_suite,
-    _minor_identity_suite,
+from .matrices import DEFAULT_ORTHO_TOLERANCE
+from .recovery import (
+    DEFAULT_RESIDUAL_TOLERANCE,
+    canonicalize_sign,
+    forward_matrix,
+    random_versor,
+    recover_spin,
 )
 
+MAX_N = 6
+VERSORS_PER_SIGNATURE = 8
 
-def run_selftest(config: SelftestConfig | None = None) -> list[SuiteResult]:
-    config = config or SelftestConfig()
-    return [suite(config) for suite in _SUITES]
+
+def run_selftest(
+    seed: int = 0,
+    tol_residual: float = DEFAULT_RESIDUAL_TOLERANCE,
+    tol_ortho: float = DEFAULT_ORTHO_TOLERANCE,
+) -> tuple[bool, str]:
+    """Whether the round trip passes, and a one-line report."""
+    worst = 0.0
+    tested = skipped = failures = 0
+    for n in range(1, MAX_N + 1):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            counts = (0, 2, 4) if n % 2 == 0 else (0, 1, 2, 3, 4)
+            for i in range(VERSORS_PER_SIGNATURE):
+                versor_seed = seed * 1000003 + sig.p * 7919 + sig.q * 104729 + i
+                s = random_versor(sig, counts[i % len(counts)], seed=versor_seed)
+                matrix = forward_matrix(s, ortho_tol=tol_ortho)
+                try:
+                    result = recover_spin(matrix, residual_tol=tol_residual)
+                except CenterProjectionVanishesError:
+                    skipped += 1
+                    continue
+                except RotorLiftError:
+                    failures += 1
+                    continue
+                tested += 1
+                diff = canonicalize_sign(s).coeffs - result.spin.coeffs
+                worst = max(worst, result.residual, float(np.max(np.abs(diff))) / max(1.0, s.max_abs()))
+    passed = tested > 0 and failures == 0 and worst <= tol_residual
+    detail = f"{tested} recovered, {skipped} degenerate, {failures} failed, worst {worst:.3e}"
+    return passed, f"round-trip  {'PASS' if passed else 'FAIL'}  {detail}"

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from rotorlift import reference
 from rotorlift import (
     CenterProjectionVanishesError,
     HestenesConditionError,
@@ -141,8 +142,8 @@ class TestCriterion4BladeEquivalence:
                 entry_peak = max(1.0, float(np.max(np.abs(matrix.entries))))
                 for mask in range(1 << n):
                     indices = [a + 1 for a in range(n) if mask >> a & 1]
-                    product = frame_blade(matrix, indices, method="product")
-                    minors = frame_blade(matrix, indices, method="minors")
+                    product = frame_blade(matrix, indices)
+                    minors = reference.frame_blade(matrix, indices)
                     scale = entry_peak ** max(1, len(indices))
                     diff = max_diff(product, minors) / scale
                     worst = max(worst, diff)

@@ -195,9 +195,9 @@ class TestRoundTripThroughFiles:
         sig = Signature(1, 2)
         source = forward_matrix(random_versor(sig, 2, seed=31))
         matrix_path = write(tmp_path, "m.json", matrix_to_doc(source))
-        rotor_path = str(tmp_path / "rotor.json")
-        assert main(["recover", "--input", matrix_path, "--output", rotor_path]) == 0
-        rotor_doc = json.loads(open(rotor_path).read())
+        rotor_path = tmp_path / "rotor.json"
+        assert main(["recover", "--input", matrix_path, "--output", str(rotor_path)]) == 0
+        rotor_doc = json.loads(rotor_path.read_text(encoding="utf-8"))
         spin_path = write(
             tmp_path, "s.json",
             {"signature": rotor_doc["S"]["signature"], "coefficients": rotor_doc["S"]["coefficients"]},

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rotorlift import reference
 from rotorlift import (
     Multivector,
     NotPseudoOrthogonalError,
@@ -223,8 +224,8 @@ class TestFrameBlades:
         entry_peak = max(1.0, float(np.max(np.abs(matrix.entries))))
         for mask in range(1 << sig.n):
             indices = [a + 1 for a in range(sig.n) if mask >> a & 1]
-            product = frame_blade(matrix, indices, method="product")
-            minors = frame_blade(matrix, indices, method="minors")
+            product = frame_blade(matrix, indices)
+            minors = reference.frame_blade(matrix, indices)
             assert max_diff(product, minors) <= 1e-9 * entry_peak ** len(indices)
 
     @pytest.mark.parametrize("sig", signatures_up_to(5))
@@ -239,8 +240,3 @@ class TestFrameBlades:
             keep = [m for m in range(1 << sig.n) if bin(m).count("1") == len(indices)]
             off[keep] = 0.0
             assert float(np.max(np.abs(off))) <= 1e-10 * entry_peak ** max(1, len(indices))
-
-    def test_unknown_method(self):
-        matrix = validate_pseudo_orthogonal(np.eye(2), Signature(2, 0))
-        with pytest.raises(ValueError):
-            frame_blade(matrix, (1,), method="fft")

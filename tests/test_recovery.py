@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rotorlift.recovery
+from rotorlift import reference
 from rotorlift import (
     CenterElement,
     CenterProjectionVanishesError,
@@ -100,8 +101,8 @@ class TestSpinNumerator:
     def test_product_and_minor_methods_agree(self, sig):
         for k in versor_ks(sig.n)[1:]:
             matrix = forward_matrix(random_versor(sig, k, seed=50 + k + sig.p))
-            fast = spin_numerator(matrix, method="product")
-            slow = spin_numerator(matrix, method="minors")
+            fast = spin_numerator(matrix)
+            slow = reference.spin_numerator(matrix)
             assert max_diff(fast, slow) <= 1e-9 * max(1.0, fast.max_abs())
 
     def test_nested_sum_costs_n_vector_products(self, monkeypatch):
@@ -1182,9 +1183,9 @@ def block_unit_vector(sig, rng, low, high):
 class TestCsdLift:
     """_csd_lift, the lift through the hyperbolic CS decomposition, and the fallback to it."""
 
-    # The lift-small must-reject probe "Cl(2,3) k=3 extreme" of seeds 22, 31 and
-    # 32: three reflections, so no central part, at entry peaks 4.2e4, 4.0e4 and
-    # 8.9e4; the numerator clears the degeneracy gate on rounding alone.
+    # The lift-small must-reject probe "Cl(2,3) k=3 extreme" of seeds 22, 31, 32
+    # and 56: three reflections, so no central part, at entry peaks 4.2e4, 4.0e4,
+    # 8.9e4 and 5.7e4; the numerator clears the degeneracy gate on rounding alone.
     NO_CENTRAL_PART = {
         22: [[-11616.682290410801, 7249.652708256273, -13221.63985601731, 706.0828365142468, 3492.0563243490287],
              [-37070.74308334959, 23139.136615704447, -42194.6959142488, 2251.8827959438227, 11144.339175085872],
@@ -1201,6 +1202,11 @@ class TestCsdLift:
              [75907.7282156609, -38116.240597295095, -54287.31796769512, 57358.55309570427, -31268.42649982838],
              [40339.417773170055, -20255.02299174553, -28848.910440330634, 30482.58537642343, -16615.864071703494],
              [60510.18009083008, -30384.42524016837, -43276.02504403022, 45723.540114174066, -24924.661053182936]],
+        56: [[19679.782178792244, -20028.569020519735, -26572.16016984757, 4288.81060913705, -7997.737810240573],
+             [38854.273039329404, -39531.79646480626, -52452.23023110857, 8471.063631976587, -15793.102572813665],
+             [-2404.7990597929534, 2449.6344878182426, 3249.0986571477624, -523.8770204081751, 976.0529829361084],
+             [-11517.343891362092, 11722.599299851368, 15552.051754201066, -2509.039828190034, 4680.486196110313],
+             [41934.664541278886, -42667.159083723964, -56611.77613765555, 9142.378711587444, -17044.831166640743]],
     }
 
     @staticmethod
@@ -1330,6 +1336,36 @@ class TestCsdLift:
         # ... but the numerator it implies, 2^n S center(S^-1), vanishes
         with pytest.raises(CenterProjectionVanishesError, match="numerator sum is numerically zero"):
             recover_spin(matrix)
+
+    def test_non_central_sum_outside_the_domain_is_rejected(self):
+        # Seed 56's sum (peak 7.8e-8 of the gate's scale) is also non-central
+        # beyond roundoff, so verification fails before any candidate is formed;
+        # on that failure path the sum the lift implies, 2.1e-14 of the scale,
+        # is put to the gate
+        matrix = validate_pseudo_orthogonal(self.NO_CENTRAL_PART[56], Signature(2, 3))
+        t = rotorlift.recovery._get_tables(matrix.sig)
+        numerator = spin_numerator(matrix).coeffs
+        peak = float(np.max(np.abs(numerator)))
+        with pytest.raises(VerificationFailedError, match=re.escape("reverse(N)*N is not central")):
+            rotorlift.recovery._central_gram(t, numerator, spinor_norm_sign(matrix), peak)
+        with pytest.raises(CenterProjectionVanishesError, match="numerator sum is numerically zero"):
+            recover_spin(matrix)
+
+    def test_guard_runs_only_where_verification_fails(self, monkeypatch):
+        matrix = boost_turn(Signature(1, 3), 1.0, 0.7)[0]
+        real, lifts = rotorlift.recovery._csd_lift, []
+
+        def counting(*args):
+            lifts.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(rotorlift.recovery, "_csd_lift", counting)
+        recover_spin(matrix)
+        assert not lifts
+        # an unmet tolerance fails verification; the lift's implied sum clears the gate
+        with pytest.raises(VerificationFailedError):
+            recover_spin(matrix, residual_tol=1e-30)
+        assert len(lifts) == 1
 
     @pytest.mark.parametrize("rapidity", range(13))
     def test_hestenes_boost_times_turn(self, rapidity):

@@ -12,12 +12,17 @@ The sign of a blade product needs no table: sign(e_A e_B) is
 Computer Science*, ch. 19).  Every geometric product runs through one kernel,
 ``_product_arrays``, which splits Cl(p,q) into the graded tensor product of
 its low and high generators, so no per-signature array has more than
-2**(n + n//2) entries.  Tables are built once per signature, frozen
-(read-only arrays) and cached for the lifetime of the process.
+max(n 2**n, 2**(n + n//2)) entries.  A product with a generator e_b moves
+coefficient K to K ^ (1 << b) with a sign, so generator and vector products
+are gathers through one n x 2**n flip index per n, shared by every signature
+of that dimension, and two n x 2**n sign tables per signature.  Tables are
+built once, frozen (read-only arrays) and cached for the lifetime of the
+process.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -66,7 +71,7 @@ class _SignatureTables:
     __slots__ = (
         "sig", "n", "size", "full_mask",
         "metric", "masks", "grades", "reorder", "grade_signs", "reverse_signs",
-        "conjugate_signs", "blade_square", "right_rows", "left_rows", "low_xor",
+        "conjugate_signs", "blade_square", "flips", "right_gather", "left_gather", "low_xor",
         "left_signs", "high_xor", "high_signs",
     )
 
@@ -93,10 +98,11 @@ class _SignatureTables:
         self.conjugate_signs = np.where((k * (k + 1) // 2) % 2 == 0, 1, -1).astype(np.int8)
         self.blade_square = grade_signs[reorder & masks]
 
-        # Signs of e_A e_b and e_b e_A for each generator e_b, as float rows.
-        bits = [1 << b for b in range(n)]
-        self.right_rows = {bit: 1.0 - 2.0 * ((reorder & bit) != 0) for bit in bits}
-        self.left_rows = {bit: grade_signs[reorder[bit] & masks].astype(np.float64) for bit in bits}
+        # (arr e_b)[K] = arr[A] sign(e_A e_b) and (e_b arr)[K] = arr[A] sign(e_b e_A)
+        # with A = flips[b, K] = K ^ (1 << b): one row per generator.
+        flips = self.flips = _flips(n)
+        self.right_gather = 1.0 - 2.0 * ((reorder[flips] >> np.arange(n)[:, None]) & 1)
+        self.left_gather = grade_signs[reorder[1 << np.arange(n)][:, None] & flips].astype(np.float64)
 
         # Split A = (H << low_bits) | C into high generators H and low ones C,
         # so that e_A = e_C e_H; left_signs[H, C, B] = s(C^B, B) (-1)^(|B||H|)
@@ -112,9 +118,15 @@ class _SignatureTables:
         self.high_signs = high_signs[:, :, None].astype(np.float64)
 
         for name in self.__slots__[4:]:  # the slots after full_mask hold arrays
-            value = getattr(self, name)
-            for arr in value.values() if isinstance(value, dict) else [value]:
-                arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _flips(n: int) -> np.ndarray:
+    """flips[b, K] = K ^ (1 << b), read-only; one per dimension n."""
+    flips = np.arange(1 << n) ^ (1 << np.arange(n))[:, None]
+    flips.setflags(write=False)
+    return flips
 
 
 _tables_lock = threading.Lock()
@@ -252,12 +264,6 @@ class Multivector:
         """Euclidean norm of the coefficient array."""
         return float(np.linalg.norm(self.coeffs))
 
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.max_abs() <= tol
-
-    def approx_eq(self, other: "Multivector", tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.sig == other.sig and float(np.max(np.abs(self.coeffs - other.coeffs))) <= tol
-
     def grades_present(self, tol: float = DEFAULT_TOLERANCE) -> set[int]:
         t = _get_tables(self.sig)
         return {int(k) for k in np.unique(t.grades[np.abs(self.coeffs) > tol])}
@@ -321,10 +327,6 @@ class Multivector:
 
     def grade(self, k: int) -> "Multivector":
         return grade_project(self, k)
-
-    def even_part(self) -> "Multivector":
-        t = _get_tables(self.sig)
-        return Multivector(self.sig, np.where(t.grades % 2 == 0, self.coeffs, 0.0))
 
     def odd_part(self) -> "Multivector":
         t = _get_tables(self.sig)
@@ -397,11 +399,11 @@ def _central_parts(t: _SignatureTables, u: np.ndarray, v: np.ndarray) -> tuple[f
 
 def _blade_mul_right(t: _SignatureTables, arr: np.ndarray, mask: int, scale: float = 1.0) -> np.ndarray:
     """arr * (scale * e_mask); a signed permutation of the coefficients."""
-    signs = t.right_rows.get(mask)
-    if signs is None:
-        signs = t.grade_signs[t.reorder & mask]
-    out = np.empty_like(arr)
-    out[t.masks ^ mask] = arr * signs
+    if mask and not mask & (mask - 1):  # a generator: one row of the gather tables
+        b = int(mask).bit_length() - 1
+        out = arr.take(t.flips[b]) * t.right_gather[b]
+    else:
+        out = (arr * t.grade_signs[t.reorder & mask]).take(t.masks ^ mask)
     if scale != 1.0:
         out *= scale
     return out
@@ -409,25 +411,26 @@ def _blade_mul_right(t: _SignatureTables, arr: np.ndarray, mask: int, scale: flo
 
 def _blade_mul_left(t: _SignatureTables, arr: np.ndarray, mask: int, scale: float = 1.0) -> np.ndarray:
     """(scale * e_mask) * arr."""
-    signs = t.left_rows.get(mask)
-    if signs is None:
-        signs = t.grade_signs[t.reorder[mask] & t.masks]
-    out = np.empty_like(arr)
-    out[t.masks ^ mask] = arr * signs
+    if mask and not mask & (mask - 1):
+        b = int(mask).bit_length() - 1
+        out = arr.take(t.flips[b]) * t.left_gather[b]
+    else:
+        out = (arr * t.grade_signs[t.reorder[mask] & t.masks]).take(t.masks ^ mask)
     if scale != 1.0:
         out *= scale
     return out
 
 
 def _vector_mul_right(t: _SignatureTables, arr: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """arr * v for the grade-1 element v with the given coordinates."""
-    out = np.zeros_like(arr)
-    for b in range(t.n):
-        c = coords[b]
-        if c != 0.0:
-            bit = 1 << b
-            out[t.masks ^ bit] += (arr * t.right_rows[bit]) * c
-    return out
+    """arr * v for the grade-1 element v with the given coordinates.
+
+    One gather of all n generator products; the reduction over axis 0 adds
+    them in generator order from +0.0, term by term.
+    """
+    terms = arr.take(t.flips)
+    terms *= t.right_gather
+    terms *= coords[:, None]
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 # -- operations ------------------------------------------------------------

@@ -96,15 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
+    def add_common(p, reads_file=True, verifies=True):
+        """Give a command the options it reads: a file and its signature, tolerances."""
+        if reads_file:
             p.add_argument("--input", required=True, help="input file path")
+            p.add_argument("--signature", help="p,q (required for CSV input, optional otherwise)")
         p.add_argument("--output", help="write the result document here instead of stdout")
-        p.add_argument("--signature", help="p,q (required for CSV input, optional otherwise)")
         p.add_argument("--tol-ortho", type=float, default=DEFAULT_ORTHO_TOLERANCE,
                        help="orthogonality tolerance")
-        p.add_argument("--tol-residual", type=float, default=DEFAULT_RESIDUAL_TOLERANCE,
-                       help="verification tolerance")
+        if verifies:
+            p.add_argument("--tol-residual", type=float, default=DEFAULT_RESIDUAL_TOLERANCE,
+                           help="verification tolerance")
 
     recover = sub.add_parser("recover", help="matrix -> spin element")
     add_common(recover)
@@ -117,13 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(frames)
 
     forward = sub.add_parser("forward", help="spin element -> matrix + component")
-    add_common(forward)
+    add_common(forward, verifies=False)
 
     classify = sub.add_parser("classify", help="group membership of a matrix or versor")
-    add_common(classify)
+    add_common(classify, verifies=False)
 
     selftest = sub.add_parser("selftest", help="round-trip smoke check on random versors, n <= 6")
-    add_common(selftest, needs_input=False)
+    add_common(selftest, reads_file=False)
     selftest.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -218,8 +220,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.signature = _parse_signature(args.signature) if args.signature else None
-        if not (0 < args.tol_ortho < math.inf and 0 < args.tol_residual < math.inf):
+        if "signature" in args:
+            args.signature = _parse_signature(args.signature) if args.signature else None
+        tolerances = [value for name, value in vars(args).items() if name.startswith("tol_")]
+        if not all(0 < tol < math.inf for tol in tolerances):
             raise ParseError("tolerances must be positive and finite")
         return _COMMANDS[args.command](args)
     except RotorLiftError as exc:

@@ -356,7 +356,7 @@ class _Action:
         if admitted:
             self._inverse = (s_arr * t.reverse_signs) / lam
             hat = s_arr * t.grade_signs
-            self._images = np.stack([_blade_mul_right(t, hat, 1 << a) for a in range(t.n)])
+            self._images = hat.take(t.flips) * t.right_gather
 
     @property
     def gram(self) -> np.ndarray:
@@ -400,7 +400,7 @@ class _Action:
         O(n^2 2^n), no BLAS.
         """
         t = self.t
-        lefts = np.stack([_blade_mul_left(t, self.s, 1 << b) for b in range(t.n)])
+        lefts = self.s.take(t.flips) * t.left_gather
         inverse_block = t.metric[:, None] * self.block.T * t.metric
         return (self._images - np.einsum("ab,bk->ak", self.block, lefts),
                 lefts - np.einsum("ab,bk->ak", inverse_block, self._images))

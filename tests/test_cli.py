@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rotorlift import Multivector, Signature, forward_matrix, random_versor
 from rotorlift.cli import main
@@ -16,6 +17,14 @@ def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(dumps(doc) + "\n")
     return str(path)
+
+
+def assert_rejected(argv, capsys):
+    """argparse refuses an option the command does not read, with its usage exit code."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def rotation_doc(theta):
@@ -109,6 +118,10 @@ class TestRecover:
                 assert main(["recover", "--input", path, flag, value]) == 2
         capsys.readouterr()
 
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", rotation_doc(0.2))
+        assert_rejected(["recover", "--input", path, "--seed", "3"], capsys)
+
 
 class TestFrames:
     def test_identity_frames(self, tmp_path, capsys):
@@ -144,6 +157,12 @@ class TestFrames:
         assert main(["frames", "--input", path]) == 6
         capsys.readouterr()
 
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys):
+        doc = {"signature": {"p": 2, "q": 0}, "frames": [{"1": 1.0}, {"2": 1.0}]}
+        path = write(tmp_path, "f.json", doc)
+        for extra in (["--method", "hestenes"], ["--seed", "3"]):
+            assert_rejected(["frames", "--input", path] + extra, capsys)
+
 
 class TestForward:
     def test_reflection_vector(self, tmp_path, capsys):
@@ -167,6 +186,14 @@ class TestForward:
         assert main(["forward", "--input", path]) == 6
         assert json.loads(capsys.readouterr().err)["error"] == "NotInPin"
 
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys):
+        doc = {"signature": {"p": 3, "q": 0}, "coefficients": {"1": 1.0}}
+        path = write(tmp_path, "r.json", doc)
+        for extra in (["--tol-residual", "1e-6"], ["--method", "general"], ["--seed", "3"]):
+            assert_rejected(["forward", "--input", path] + extra, capsys)
+        assert main(["forward", "--input", path, "--tol-ortho", "nan"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "Parse"
+
 
 class TestClassify:
     def test_matrix_document(self, tmp_path, capsys):
@@ -188,6 +215,11 @@ class TestClassify:
             path.write_text('{"signature": {"p": 2, "q": 0}, "coefficients": {"": %s}}' % value)
             assert main(["classify", "--input", str(path)]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == "Parse"
+
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", rotation_doc(0.4))
+        for extra in (["--tol-residual", "1e-6"], ["--method", "general"], ["--seed", "3"]):
+            assert_rejected(["classify", "--input", path] + extra, capsys)
 
 
 class TestRoundTripThroughFiles:
@@ -221,6 +253,11 @@ class TestSelftestCommand:
         assert main(["selftest", "--tol-residual", "1e-30"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_options_it_does_not_read_are_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", rotation_doc(0.4))
+        for extra in (["--signature", "2,0"], ["--input", path], ["--method", "general"]):
+            assert_rejected(["selftest"] + extra, capsys)
 
 
 def test_module_entry_point(tmp_path):

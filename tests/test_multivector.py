@@ -166,12 +166,10 @@ class TestProductKernel:
     def test_no_table_grows_as_four_to_the_n(self):
         sig = Signature(6, 6)
         t = rotorlift.algebra._get_tables(sig)
-        arrays = []
-        for name in type(t).__slots__:
-            value = getattr(t, name)
-            arrays += value.values() if isinstance(value, dict) else [value]
+        arrays = [getattr(t, name) for name in type(t).__slots__]
         sizes = [value.size for value in arrays if isinstance(value, np.ndarray)]
-        assert len(sizes) >= 2 * sig.n
+        for gather in (t.flips, t.right_gather, t.left_gather):
+            assert gather.shape == (sig.n, 1 << sig.n)
         assert max(sizes) <= 1 << (sig.n + sig.n // 2) < 4**sig.n
 
     def test_two_versors_in_eleven_dimensions(self):
@@ -193,6 +191,83 @@ class TestProductKernel:
                         geometric_product(zero, zero)):
             # exact, unsigned zeros on either side
             assert not np.any(product.coeffs) and not np.any(np.signbit(product.coeffs))
+
+
+def scatter_vector_mul_right(t, arr: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """arr * v as one scatter-add per nonzero coordinate, generators in ascending order."""
+    out = np.zeros_like(arr)
+    for b in range(t.n):
+        if coords[b] != 0.0:
+            out[t.masks ^ (1 << b)] += (arr * t.grade_signs[t.reorder & (1 << b)]) * coords[b]
+    return out
+
+
+def scatter_blade_mul(t, arr: np.ndarray, mask: int, scale: float, side: str) -> np.ndarray:
+    """(scale * e_mask) on either side of arr as one signed scatter."""
+    if side == "right":
+        signs = t.grade_signs[t.reorder & mask]
+    else:
+        signs = t.grade_signs[t.reorder[mask] & t.masks]
+    out = np.empty_like(arr)
+    out[t.masks ^ mask] = arr * signs
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def with_zeros(rng, size: int) -> np.ndarray:
+    """Normal draws with about a quarter set to +0.0 and a quarter to -0.0."""
+    values = rng.standard_normal(size)
+    kind = rng.integers(0, 4, size)
+    values[kind == 0] = 0.0
+    values[kind == 1] = -0.0
+    return values
+
+
+class TestGeneratorGathers:
+    """Generator and vector products gather through the flip index; the scatters are the oracle."""
+
+    gather_signatures = [Signature(n - n // 3, n // 3) for n in range(1, MAX_DIMENSION + 1)]
+    negative_signatures = [Signature(0, 1), Signature(0, 2), Signature(1, 2)]
+
+    @pytest.mark.parametrize("sig", gather_signatures + negative_signatures, ids=str)
+    def test_vector_product_matches_scatter_bit_for_bit(self, sig):
+        t = rotorlift.algebra._get_tables(sig)
+        rng = np.random.default_rng(sig.n * 31 + sig.q)
+        arrays = [with_zeros(rng, t.size), np.zeros(t.size), -np.zeros(t.size)]
+        coordinates = [rng.standard_normal(sig.n), with_zeros(rng, sig.n),
+                       np.zeros(sig.n), -np.zeros(sig.n)]
+        coordinates.append(np.where(np.arange(sig.n) % 2 == 0, coordinates[0], 0.0))
+        for arr in arrays:
+            for coords in coordinates:
+                expected = scatter_vector_mul_right(t, arr, coords)
+                assert same_bits(rotorlift.algebra._vector_mul_right(t, arr, coords), expected)
+
+    @pytest.mark.parametrize("sig", gather_signatures, ids=str)
+    def test_blade_products_match_scatter_bit_for_bit(self, sig):
+        t = rotorlift.algebra._get_tables(sig)
+        rng = np.random.default_rng(sig.n)
+        arr = with_zeros(rng, t.size)
+        masks = [1 << b for b in range(sig.n)] + [0, t.full_mask, 3 % t.size]
+        masks += rng.integers(0, t.size, 4).tolist()
+        kernels = {"right": rotorlift.algebra._blade_mul_right, "left": rotorlift.algebra._blade_mul_left}
+        for mask in masks:
+            for scale in (1.0, -2.5, -0.0):
+                for side, kernel in kernels.items():
+                    expected = scatter_blade_mul(t, arr, mask, scale, side)
+                    assert same_bits(kernel(t, arr, mask, scale), expected), (mask, scale, side)
+
+    def test_flip_index_is_shared_per_dimension_and_tables_are_frozen(self):
+        first = rotorlift.algebra._get_tables(Signature(5, 4))
+        second = rotorlift.algebra._get_tables(Signature(8, 1))
+        assert first.flips is second.flips
+        for t in (first, second):
+            for table in (t.flips, t.right_gather, t.left_gather):
+                assert not table.flags.writeable
 
 
 class TestGradeStructure:

@@ -15,7 +15,7 @@ by a central square root of sign * reverse(N) * N yields the two preimages
 verification against the matrix.
 
 On strong boosts the sum loses digits to cancellation; where the winner's
-residual is above ``_FALLBACK_THRESHOLD``, ``_csd_fallback`` keeps the
+residual is above ``_FALLBACK_THRESHOLD``, ``_dense_verified`` keeps the
 better verified of it and ``_csd_lift``, the lift through the hyperbolic CS
 decomposition, O(n^2 2^n) with no dense product.  The route's domain
 decisions run first and still reject.
@@ -30,33 +30,26 @@ The n full rows are formed only when the probe is not clean at its
 reader's bound.  The residual is the larger of the block defect max |M - P|
 and the rows' off-vector peak, over max(1, entry peak).
 
-``classify_spin`` and ``forward_matrix``, which are not handed an action,
-make no dense product when a commutation-defect certificate settles their
-checks (``_Action.certificate``): the scalar of reverse(S)*S comes from the
-O(n 2^n) contraction that reads the block, and the defects D_a =
-grade_involution(S) e_a - P_a S and E_a = e_a S - grade_involution(S) Q_a
-(Q the inverse of the block P) are sums of signed permutations of S,
-O(n^2 2^n) in all.  They bound every off-scalar coefficient of
-reverse(S)*S and every off-vector coefficient of the rows.  Where a bound is
-above its check's tolerance, that check is decided as before: the dense
-gram, then the probe, then the rows.
+``classify_spin`` and ``forward_matrix`` first try a commutation-defect
+certificate (``_Action.certificate``), which bounds reverse(S)*S off the
+scalar and the rows off grade 1 in O(n^2 2^n); a check it does not settle
+falls to the dense gram, the probe and the rows.
 
-From n0 = ``_LIFT_CERTIFICATE_DIMENSION`` on, ``recover_spin`` verifies its
-candidate the same way (``_certified_winner``): the central part of
-reverse(N)*N is read from two slots of the product kernel, the candidates
-are admitted on lambda and compared on their blocks, and the winner's
-certificate, plus the rounding of the dense product each check would make,
-settles its admission, the "reverse(N)*N is not central" check
-(``_non_central_bound``) and the rows of the residual.  Each check it does
-not settle runs its dense form, so every decision is the one below n0; a
-lift that the certificate settles makes no dense product.
+From n0 = ``_LIFT_ROUTE_DIMENSION`` on, ``recover_spin`` verifies the
+candidates by their distance to the CS lift (``_lift_bound``): max |P - M'|
+for the exact action M' of the lift's factors, plus a sensitivity times the
+distance, bounds the exact residual with no dense product.  A check the
+distance does not settle runs its dense form.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -102,17 +95,22 @@ DEFAULT_DEGENERACY_TOLERANCE = 1e-8
 DEFAULT_CLASSIFY_TOLERANCE = 1e-8
 # Smallest |lambda| = |<reverse(S)*S>_0| at which a candidate's action is formed.
 _MIN_LAMBDA = 1e-9
-# Residual above which recover_spin and recover_hestenes set the CSD lift
-# (_csd_fallback) against their candidate.
+# Largest off-scalar |reverse(S)*S| over max(1, |lambda|, peak^2) at which an action is formed.
+_GRAM_LIMIT = 1e-6
+# Largest non-central |reverse(N)*N| over max(1, peak of N)^2 taken for its rounding.
+_NON_CENTRAL_LIMIT = 1e-7
+# Negative central eigenvalue, relative to the largest, taken for a rounded zero.
+_ROOT_TOLERANCE = 1e-12
+# Magnitude below which ``_central_inverse`` takes a central element for zero.
+_TINY = 1e-300
+# Residual above which recover_spin and recover_hestenes set the CS lift against their candidate.
 _FALLBACK_THRESHOLD = 1e-11
 # Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
 # _Action.off_vector): fixed, so that results repeat bit for bit.
 _PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
-# Dimension n0 from which recover_spin verifies its candidate by the
-# commutation-defect certificate (see _certified_winner) instead of dense
-# products.  Below it the certificate's fixed cost, about 20 numpy calls,
-# exceeds the dense products it saves.
-_LIFT_CERTIFICATE_DIMENSION = 8
+# Dimension n0 from which recover_spin verifies its candidates by their distance to the CS lift
+# (_lift_settled); below it the lift alone costs about as much as the whole dense recovery.
+_LIFT_ROUTE_DIMENSION = 8
 # Unit roundoff of float64, and the multiple c of eps |S|^2 (|S| the 2-norm of
 # the coefficients) that classify_spin allows for rounding in the scalar of
 # reverse(S)*S, and over |lambda| in each computed row.  Over boosts at
@@ -158,10 +156,9 @@ class RotorResult:
     n = 3 mod 4).  ``residual`` is the largest deviation of the conjugation
     action of S from the rows of the input matrix: the larger of the
     grade-1 block defect max |M - P| and the peak of the rows off grade 1,
-    over max(1, entry peak).  Where the commutation-defect certificate
-    settles the rows (lifts from n = 8 on), the off-vector peak
-    is the certificate's bound on it, with the rounding of the dense rows,
-    and the residual is then at most 1e-11 and at most ``residual_tol``.
+    over max(1, entry peak).  From n = 8 on it is an upper bound on that (at
+    most 1e-11 and ``residual_tol``) where the distance to the CS lift
+    settles it (``_lift_bound``), and the computed rows' deviation elsewhere.
     """
 
     spin: Multivector
@@ -224,7 +221,7 @@ def spinor_norm_sign(matrix: OrthoMatrix) -> int:
     return 1 if value > 0 else -1
 
 
-def central_sqrt_candidates(z: CenterElement, tol: float = 1e-12) -> list[CenterElement]:
+def central_sqrt_candidates(z: CenterElement, tol: float = _ROOT_TOLERANCE) -> list[CenterElement]:
     """Square roots of a central element, up to overall sign.
 
     Even n: the center is the reals, so the scalar must be positive and there
@@ -264,21 +261,20 @@ def central_sqrt_candidates(z: CenterElement, tol: float = 1e-12) -> list[Center
 def _central_inverse(z: CenterElement) -> CenterElement | None:
     """Inverse in the center algebra, or None when z is not invertible."""
     sig = z.sig
-    tiny = 1e-300
     if sig.n % 2 == 0:
-        if abs(z.scalar_part) < tiny:
+        if abs(z.scalar_part) < _TINY:
             return None
         return CenterElement(sig, 1.0 / z.scalar_part)
     if pseudoscalar_square(sig) > 0:
         mu_plus = z.scalar_part + z.pseudo_part
         mu_minus = z.scalar_part - z.pseudo_part
-        if abs(mu_plus) < tiny or abs(mu_minus) < tiny:
+        if abs(mu_plus) < _TINY or abs(mu_minus) < _TINY:
             return None
         inv_plus = 1.0 / mu_plus
         inv_minus = 1.0 / mu_minus
         return CenterElement(sig, (inv_plus + inv_minus) / 2.0, (inv_plus - inv_minus) / 2.0)
     denom = z.scalar_part * z.scalar_part + z.pseudo_part * z.pseudo_part
-    if denom < tiny:
+    if denom < _TINY:
         return None
     return CenterElement(sig, z.scalar_part / denom, -z.pseudo_part / denom)
 
@@ -291,17 +287,6 @@ def _gram(t, s_arr: np.ndarray) -> np.ndarray:
 def _gram_scalar(t, s_arr: np.ndarray) -> float:
     """<reverse(S)*S>_0 in O(n 2^n), equal to ``_gram(t, s_arr)[0]`` bit for bit."""
     return _scalar_vector_parts(t, (s_arr * t.reverse_signs)[None], s_arr)[0, 0]
-
-
-def _product_rounding(t, norm_u: float, norm_v: float) -> float:
-    """Rounding in any coefficient of a computed product u * v, from the 2-norms |u|, |v|.
-
-    A coefficient is a sum of 2^n terms u_A v_B over distinct A and distinct
-    B, so it is within gamma_{2^n} sum |u_A v_B| <= 2^n eps |u| |v| of the
-    exact one (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3; Cauchy-Schwarz).
-    """
-    return t.size * _EPS * norm_u * norm_v
 
 
 def _norm(t, arr: np.ndarray) -> float:
@@ -322,13 +307,8 @@ def _off_scalar(gram: np.ndarray) -> float:
 
 def _usable_gram(gram: np.ndarray, peak: float) -> bool:
     """Whether reverse(S)*S is a nonzero scalar to the residual's tolerance."""
-    return _usable(gram[0], _off_scalar(gram), peak)
-
-
-def _usable(lam: float, off_scalar: float, peak: float) -> bool:
-    """``_usable_gram`` from lambda and the (bound on the) largest off-scalar coefficient."""
-    lam = abs(lam)
-    return not (lam < _MIN_LAMBDA or off_scalar > 1e-6 * max(1.0, lam, peak * peak))
+    lam = abs(gram[0])
+    return not (lam < _MIN_LAMBDA or _off_scalar(gram) > _GRAM_LIMIT * max(1.0, lam, peak * peak))
 
 
 class _Action:
@@ -336,23 +316,21 @@ class _Action:
 
     ``lam`` is the scalar of reverse(S)*S and ``gram`` the whole of it, a
     dense product formed on first use; ``_twisted_action`` forms it at once
-    to admit S, while the actions that ``_classify`` and the certified lift
-    build read ``lam`` alone and form the gram only where their certificate
-    does not settle it.  The rest exists only when S is admitted: ``block``,
-    ``rows`` and the probe are None otherwise.  ``rows``, the full rows
-    grade_involution(S) e_a S^-1 stacked n x 2^n, stay None until
-    ``form_rows()`` or ``off_vector()`` forms them.  Each is read from V_a =
-    grade_involution(S) e_a, a signed permutation of S, and S^-1 =
+    to admit S, while the actions ``_classify`` and the lift route build read
+    ``lam`` alone, and form the gram only where their certificate (or the
+    route's bounds) does not settle it.  The rest exists only when S is
+    admitted: ``block``, ``rows`` and the probe are None otherwise.  ``rows``,
+    the full rows grade_involution(S) e_a S^-1 stacked n x 2^n, stay None
+    until ``form_rows()`` or ``off_vector()`` forms them.  Each is read from
+    V_a = grade_involution(S) e_a, a signed permutation of S, and S^-1 =
     reverse(S) / lam: row a is the product V_a S^-1.
     """
 
-    __slots__ = ("t", "s", "lam", "rows", "norm", "_gram", "_block", "_images", "_inverse",
-                 "_probe_off", "_bounds")
+    __slots__ = ("t", "s", "lam", "rows", "_gram", "_block", "_images", "_inverse", "_probe_off", "_bounds")
 
-    def __init__(self, t, s_arr, lam, gram=None, admitted=True):
-        self.t, self.s, self.lam, self._gram = t, s_arr, lam, gram
-        self.rows = self.norm = self._block = self._probe_off = self._images = None
-        self._inverse = self._bounds = None
+    def __init__(self, t, s_arr, lam, gram=None, admitted=True, bounds=None):
+        self.t, self.s, self.lam, self._gram, self._bounds = t, s_arr, lam, gram, bounds
+        self.rows = self._block = self._probe_off = self._images = self._inverse = None
         if admitted:
             self._inverse = (s_arr * t.reverse_signs) / lam
             hat = s_arr * t.grade_signs
@@ -435,34 +413,19 @@ class _Action:
         2-norm |S|, so the computed D_a is within (n + 2) eps (1 + |P_a|_1) |S|
         of the exact one in 2-norm; |Q_a|_1 takes the place of |P_a|_1 for
         E_a.  Each norm is taken as (1 + (n + 14) eps) times its computed
-        value (see ``_norm``).  Computed once; ``norm`` keeps |S|.
+        value (see ``_norm``).  Computed once, or given at construction.
         """
         if self._bounds is None:
             t, block = self.t, self.block
             grow = 1.0 + (t.n + 14) * _EPS
             slack = (t.n + 2) * _EPS
-            norm = self.norm = _norm(t, self.s)
+            norm = _norm(t, self.s)
             d, e = (np.sqrt(np.sum(x * x, axis=1)) * grow for x in self.defects())
             p_norms = np.sum(np.abs(block), axis=1)
             d_bounds = (d + slack * (1.0 + p_norms) * norm) * norm
             h = float(np.max((e + slack * (1.0 + np.sum(np.abs(block), axis=0)) * norm) * norm))
             self._bounds = float(np.max(d_bounds)), (p_norms * h + d_bounds) / abs(self.lam)
         return self._bounds
-
-    @property
-    def certified(self) -> bool:
-        return self._bounds is not None
-
-    def dense_bounds(self) -> tuple[float, np.ndarray]:
-        """Bounds (g, r) on what the dense gram and the dense rows would read.
-
-        ``certificate()`` bounds the exact values.  The computed product adds
-        at most ``_product_rounding`` to each coefficient, and S^-1 =
-        reverse(S) / lam, rounded, adds eps |S|^2 / |lam| to each row.
-        """
-        g, r = self.certificate()
-        rounding = _product_rounding(self.t, self.norm, self.norm)
-        return g + rounding, r + (rounding + _EPS * self.norm * self.norm) / abs(self.lam)
 
     def off_vector(self, bound: float) -> float:
         """Largest coefficient of the rows off grade 1, exact whenever it exceeds ``bound``.
@@ -569,11 +532,13 @@ def recover_spin(
     normalizes by the central square root whose sign is fixed by the
     component of the group, and keeps the candidate with the smallest
     verification residual, or the CS-decomposition lift where that verifies
-    better (``_csd_fallback``).  The returned representative is
-    sign-canonicalized; the other preimage is its negative.
+    better (``_dense_verified``); from n0 on, by their distance to the lift
+    where that settles it (``_lift_settled``).  The returned representative
+    is sign-canonicalized; the other preimage is its negative.
 
     Before a VerificationFailedError is raised, the sum that ``_csd_lift``
-    implies is put to the degeneracy gate, as in ``_csd_fallback``.
+    implies is put to the degeneracy gate, as in ``_dense_verified``.  The
+    lift is formed at most once.
     """
     sig = matrix.sig
     t = _get_tables(sig)
@@ -600,37 +565,28 @@ def recover_spin(
             "the result may be ill-conditioned"
         )
     norm_sign = spinor_norm_sign(matrix)
-    certify = sig.n >= _LIFT_CERTIFICATE_DIMENSION
+    lift = functools.cache(lambda: _csd_lift(t, matrix))
     try:
-        if certify:
+        if sig.n < _LIFT_ROUTE_DIMENSION:
+            central = _central_gram(t, numerator, norm_sign, peak)
+            candidates = _candidates(t, numerator, central_sqrt_candidates(central))
+        else:
             scalar, pseudo = _central_parts(t, numerator * t.reverse_signs, numerator)
             central = CenterElement(sig, scalar * norm_sign, pseudo * norm_sign if sig.n % 2 else 0.0)
-        else:
-            central = _central_gram(t, numerator, norm_sign, peak)
-        try:
-            roots = central_sqrt_candidates(central)
-        except NoRealRootError:
-            if certify:  # a non-central reverse(N)*N is reported first, as below n0
+            try:
+                roots = central_sqrt_candidates(central)
+            except NoRealRootError:  # a non-central reverse(N)*N is reported first, as below n0
                 _central_gram(t, numerator, norm_sign, peak)
-            raise
-        candidates = _candidates(t, numerator, roots)
-        # Candidates are compared on their blocks; a winner's block defect above
-        # _FALLBACK_THRESHOLD stands as its residual, a lower bound, for the lift.
-        if certify:
-            best, best_action, best_residual = _certified_winner(
-                t, numerator, candidates, matrix, norm_sign, peak, residual_tol)
-        else:
-            _, best, best_action, best_residual = _choose(t, candidates, matrix, _twisted_action)
-            if best_residual <= _FALLBACK_THRESHOLD:
-                best_residual = _residual(best_action, matrix)
-        if best_residual > _FALLBACK_THRESHOLD:
-            best, best_action, best_residual = _csd_fallback(
-                t, matrix, best, best_action, best_residual, residual_tol, guard)
-        return _verified(t, best, best_action, best_residual, residual_tol, norm_sign, warning,
-                         matrix)
+                raise
+            candidates = _candidates(t, numerator, roots)
+            if (settled := _lift_settled(t, numerator, candidates, lift(), matrix, norm_sign, peak,
+                                         residual_tol, guard)) is not None:
+                return _verified(t, *settled, residual_tol, norm_sign, warning, matrix)
+        return _verified(t, *_dense_verified(t, candidates, matrix, guard, lift), residual_tol, norm_sign,
+                         warning, matrix)
     except VerificationFailedError:  # the sum may have cleared the gate on rounding alone
-        lift = _csd_lift(t, matrix)
-        guard(lift, _gram_scalar(t, lift))
+        lifted = lift().spin
+        guard(lifted, _gram_scalar(t, lifted))
         raise
 
 
@@ -650,12 +606,8 @@ def _central_gram(t, numerator: np.ndarray, norm_sign: int, peak: float) -> Cent
 
 
 def _non_central_limit(peak: float) -> float:
-    """Largest non-central coefficient of reverse(N)*N taken for roundoff.
-
-    Roundoff in the gram scales with the square of the numerator peak (the
-    intermediate product magnitude), not with the gram itself.
-    """
-    return 1e-7 * max(1.0, peak * peak)
+    """Largest non-central coefficient of reverse(N)*N taken for roundoff, N's peak given."""
+    return _NON_CENTRAL_LIMIT * max(1.0, peak * peak)
 
 
 def _candidates(t, numerator: np.ndarray, roots) -> list:
@@ -672,148 +624,109 @@ def _candidates(t, numerator: np.ndarray, roots) -> list:
     return candidates
 
 
-def _light_action(t, s_arr: np.ndarray) -> _Action:
-    """The action of S without its dense gram: admitted while |lambda| >= ``_MIN_LAMBDA``."""
-    lam = _gram_scalar(t, s_arr)
-    return _Action(t, s_arr, lam, admitted=not abs(lam) < _MIN_LAMBDA)
+def _lift_bound(t, lift: _Lift, matrix: OrthoMatrix, s_arr: np.ndarray) -> tuple[float, ...]:
+    """(distance, residual bound, lambda, off-scalar bound) of S against the CS lift.
 
-
-def _choose(t, candidates, matrix: OrthoMatrix, make_action, skip_image=False):
-    """(root, S, action, block defect) of the candidate whose grade-1 block is closest to P.
-
-    With ``skip_image``, the second candidate is not read where the first
-    provably wins (``_image_loses``).
+    Write S = mu (S' + Delta), S' the exact product of the lift's factors
+    and M' its action (``_Lift``), mu the projection of S on S_c, lambda' =
+    <reverse(S') S'>_0 and lambda' + Lambda the scalar of reverse(S) S / mu^2.
+    As S'^ e_a reverse(S') = lambda' M'_a (x^ the grade involution), row a of
+    the action of S is M'_a + (Delta^ e_a reverse(S') + S'^ e_a reverse(Delta)
+    + Delta^ e_a reverse(Delta) - Lambda M'_a) / (lambda' + Lambda), and by
+    Cauchy-Schwarz on each coefficient it is within (2 |S'| |Delta| +
+    |Delta|^2 + |Lambda| max |M'|) / |lambda' + Lambda| of M' (|.| the
+    2-norm): a first-order sensitivity of 2 |S| / |lambda| to the distance
+    and max |M'| / |lambda| to Lambda.  With max |P - M'|, over max(1, entry
+    peak), that bounds the exact residual; reverse(S) S is off the scalar by
+    at most mu^2 (2 |S'| |Delta| + |Delta|^2).  |Delta| <= |S / mu - S_c| +
+    spin_error, and Lambda is read within (n + 16) eps / 2 |S|^2 (``_norm``).
     """
-    best = (None, None, None, math.inf)
-    for root, arr in candidates:
-        if skip_image and best[2] is not None and _image_loses(t, best[2], best[3], matrix):
-            break
-        action = make_action(t, arr)
-        defect = _block_defect(action, matrix)
-        if defect < best[3]:
-            best = (root, arr, action, defect)
-    return best
+    spin = lift.spin
+    mu = float(np.sum(s_arr * spin)) / float(np.sum(spin * spin))
+    if mu == 0.0 or not math.isfinite(mu):
+        return math.inf, math.inf, math.nan, math.inf
+    norm, apart = _norm(t, spin), _norm(t, s_arr / mu - spin)
+    distance = apart + _EPS * (norm + 2.0 * apart)  # with the rounding of S / mu - S_c
+    delta = distance + lift.spin_error
+    cross = 2.0 * (norm + lift.spin_error) * delta + delta * delta
+    squares = s_arr * s_arr
+    lam = float(np.sum(squares * t.reverse_signs * t.blade_square))
+    scalar, slack = lam / (mu * mu), (t.n + 16) * _EPS / 2.0 * float(np.sum(squares)) / (mu * mu)
+    mismatch = abs(scalar - lift.lam) + slack + 3.0 * _EPS * abs(scalar) + lift.lam_error * abs(lift.lam)
+    floor = (abs(scalar) - slack) * (1.0 - _EPS)  # at most |lambda' + Lambda|
+    gap = float(np.max(np.abs(matrix.entries - lift.action))) * (1.0 + _EPS) + lift.action_error
+    peak = float(np.max(np.abs(lift.action))) + lift.action_error
+    rows = (cross + mismatch * peak) / floor if floor > 0.0 else math.inf
+    return distance, (gap + rows) / _entry_scale(matrix) * (1.0 + 4.0 * _EPS), lam, mu * mu * cross
 
 
-def _image_loses(t, action: _Action, defect: float, matrix: OrthoMatrix) -> bool:
-    """Whether the second candidate, S I, has a larger computed block defect than S.
+def _non_central_peak(t, numerator: np.ndarray, s_arr: np.ndarray, root: CenterElement, gram: float):
+    """Bound on each non-central coefficient of the exact reverse(N)*N, from S = N / Z.
 
-    Two candidates arise only at odd n with I^2 = +1: the roots are Z and
-    Z I, ``_central_inverse`` gives them the same two floats swapped, and so
-    the second candidate is exactly S I (up to the sign of zeros).  I is
-    central and grade involution negates it, so the exact block of S I is
-    -M.  A computed block is within delta = (2^n + 1) eps |S|^2 (2 + max |M|)
-    / |lambda| of the exact one, from the product's rounding
-    (``_product_rounding``) and lambda's.  So where max |M + P| exceeds
-    2 (defect max(1, entry peak) + 2 delta), the computed defect of S I
-    exceeds that of S, with room for the rounding of the comparison, and S
-    wins as it would if S I were read.
-    """
-    norm = _norm(t, action.s)
-    delta = (_product_rounding(t, norm, norm) * (1.0 + 1.0 / t.size)
-             * (2.0 + float(np.max(np.abs(action.block)))) / abs(action.lam))
-    scale = _entry_scale(matrix)
-    image_defect = float(np.max(np.abs(action.block + matrix.entries)))
-    return image_defect > 2.0 * (defect * scale + 2.0 * delta)
-
-
-def _non_central_bound(t, numerator: np.ndarray, s_arr: np.ndarray, root: CenterElement,
-                       g: float) -> float:
-    """Bound on each non-central coefficient of the computed reverse(N)*N, from S = N / Z.
-
-    Z = alpha + beta I is the central root that S was divided by (beta = 0 at
-    even n, I the pseudoscalar), and g bounds each off-scalar coefficient of
-    reverse(S)*S.  N' = S Z has reverse(N') N' = reverse(Z) Z reverse(S) S, as
-    Z is central, and reverse(Z) Z = c0 + c1 I with |c0| + |c1| <= (|alpha| +
-    |beta|)^2; I maps each non-central blade to another, so each non-central
-    coefficient of reverse(N') N' is at most (|alpha| + |beta|)^2 g.  The
-    division rounds, so N = N' + Delta, and reverse(N) N - reverse(N') N' =
-    reverse(Delta) N + reverse(N') Delta adds at most |Delta| (|N| + |N'|),
-    |N'| <= (|alpha| + |beta|) |S|, |.| the 2-norm.  Delta is computed from
-    S; that adds 2 eps (|alpha| + |beta|) |S| + eps |Delta| to its norm.  The
-    dense product adds its own rounding.
+    ``gram`` bounds reverse(S)*S off the scalar; Z = alpha + beta I is central
+    and I maps non-central blades to non-central ones, so reverse(S Z) S Z =
+    reverse(Z) Z reverse(S) S is within z^2 gram of the centre, z = |alpha| +
+    |beta|.  D = N - S Z (within 2 eps z |S| + eps |D|) adds |D| (|N| + z |S|).
     """
     z = abs(root.scalar_part) + abs(root.pseudo_part)
-    s_times_z = s_arr * root.scalar_part
-    if root.pseudo_part != 0.0:
-        s_times_z = s_times_z + _blade_mul_right(t, s_arr, t.full_mask, root.pseudo_part)
+    s_times_z = s_arr * root.scalar_part + _blade_mul_right(t, s_arr, t.full_mask, root.pseudo_part)
     s_norm, n_norm = _norm(t, s_arr), _norm(t, numerator)
     delta = _norm(t, numerator - s_times_z) * (1.0 + _EPS) + 2.0 * _EPS * z * s_norm
-    return z * z * g + delta * (n_norm + z * s_norm) + _product_rounding(t, n_norm, n_norm)
+    return z * z * gram + delta * (n_norm + z * s_norm)
 
 
-def _certified_winner(t, numerator, candidates, matrix, norm_sign, peak, residual_tol):
-    """The winning candidate, its action and residual, verified by the certificate where it can.
+def _lift_settled(t, numerator, candidates, lift: _Lift, matrix: OrthoMatrix, norm_sign: int,
+                  peak: float, residual_tol: float, guard):
+    """From n0 on: (S, action, residual) verified by the distance to the lift, or None.
 
-    Decides what the dense path decides, with the same dense product as the
-    fallback of each check: the candidates are admitted on lambda alone and
-    compared on their blocks (the second only where ``_image_loses`` cannot
-    rule it out); the winner is admitted by ``_admitted``, its certificate
-    settles the non-central check on reverse(N)*N through
-    ``_non_central_bound``, and stands in for the probe and the rows where
-    the residual it gives is within both ``_FALLBACK_THRESHOLD`` and
-    ``residual_tol`` (``_certified_residual``).  A winner whose block defect
-    is above the threshold returns that defect, a lower bound on its
-    residual, for ``_csd_fallback`` to compare.  If the dense gram rejects
-    the winner, every candidate is judged as below n0.
+    The candidate nearest +-mu S_c wins unless its bound exceeds the
+    threshold; then the lift wins where its bound is lower, through ``guard``.
+    None where the winner's bound exceeds the threshold or ``residual_tol``.
     """
-    root, best, action, defect = _choose(t, candidates, matrix, _light_action, skip_image=True)
-    if best is not None and not _admitted(action):
-        root, best, action, defect = _choose(t, candidates, matrix, _twisted_action)
-    if best is None:
+    (_, residual, lam, gram), root, arr = min(
+        ((_lift_bound(t, lift, matrix, arr), root, arr) for root, arr in candidates),
+        key=lambda fit: fit[0][0], default=((math.inf, math.inf, math.nan, math.inf), None, None))
+    if root is None or not _non_central_peak(t, numerator, arr, root, gram) <= _non_central_limit(peak):
         _central_gram(t, numerator, norm_sign, peak)
-        return None, None, math.inf
-    if action.gram_formed:
-        norm = _norm(t, best)
-        g = _off_scalar(action.gram) + _product_rounding(t, norm, norm)
-    else:
-        g = action.certificate()[0]
-    if not _non_central_bound(t, numerator, best, root, g) <= _non_central_limit(peak):
-        _central_gram(t, numerator, norm_sign, peak)
-    return best, action, (defect if defect > _FALLBACK_THRESHOLD
-                          else _certified_residual(action, defect, matrix, residual_tol))
+    if not residual <= _FALLBACK_THRESHOLD:
+        _, lift_residual, lift_lam, lift_gram = _lift_bound(t, lift, matrix, lift.spin)
+        if lift_residual < residual:
+            residual, lam, gram, arr = lift_residual, lift_lam, lift_gram, lift.spin
+    if not residual <= min(_FALLBACK_THRESHOLD, residual_tol):
+        return None
+    if arr is lift.spin:
+        guard(arr, lam)
+    rows = np.full(t.n, residual * _entry_scale(matrix))  # off grade 1, far within tol: never formed
+    return arr, _Action(t, arr, lam, admitted=False, bounds=(gram, rows)), residual
 
 
-def _admitted(action: _Action) -> bool:
-    """Whether the dense gram of a light action is usable, settled by its certificate where it can be."""
-    peak_s = float(np.max(np.abs(action.s)))
-    return _usable(action.lam, action.dense_bounds()[0], peak_s) or _usable_gram(action.gram, peak_s)
+def _dense_verified(t, candidates, matrix: OrthoMatrix, guard, lift):
+    """(S, action, residual) from dense actions: the candidate whose block is closest to P, or the lift.
 
-
-def _certified_residual(action: _Action, defect: float, matrix: OrthoMatrix, residual_tol: float) -> float:
-    """The residual with the certificate's row bounds where they settle it, ``_residual`` otherwise."""
-    if action.certified and defect <= _FALLBACK_THRESHOLD:
-        residual = max(defect, float(np.max(action.dense_bounds()[1])) / _entry_scale(matrix))
-        if residual <= _FALLBACK_THRESHOLD and residual <= residual_tol:
-            return residual
-    return _residual(action, matrix)
-
-
-def _csd_fallback(t, matrix: OrthoMatrix, best, action, residual: float, residual_tol: float, guard):
-    """The better verified of a route's candidate and ``_csd_lift``: (S, action, residual).
-
-    Runs where the candidate's residual is above ``_FALLBACK_THRESHOLD`` or
-    inf (none admitted).  ``residual`` may be the block defect alone, a lower
-    bound; the full one is read only if the lift does not beat it.  The lift
-    is verified as the route verifies its candidates; ties keep the
-    candidate.  A winning lift must pass ``guard(S, lambda)``, which rejects
-    where the sum the lift implies (``_implied_peak``) fails the route's
-    degeneracy gate: the computed sum passed it on rounding alone.
+    Above ``_FALLBACK_THRESHOLD`` (a block defect stands, a lower bound, for
+    the residual) ``lift()`` is verified too, and the better wins, ties the
+    candidate.  A winning lift must pass ``guard(S, lambda)``: the sum it
+    implies (``_implied_peak``) must clear the degeneracy gate.
     """
-    lift = _csd_lift(t, matrix)
-    if t.n < _LIFT_CERTIFICATE_DIMENSION:
-        lift_action = _twisted_action(t, lift)
-        lift_residual = _residual(lift_action, matrix)
-    else:  # a unit versor, so its lambda admits it and it has a block
-        lift_action = _light_action(t, lift)
-        lift_residual = (_certified_residual(lift_action, _block_defect(lift_action, matrix), matrix,
-                                             residual_tol) if _admitted(lift_action) else math.inf)
+    best, action, residual = None, None, math.inf
+    for _, arr in candidates:
+        candidate = _twisted_action(t, arr)
+        defect = _block_defect(candidate, matrix)
+        if defect < residual:
+            best, action, residual = arr, candidate, defect
+    if residual <= _FALLBACK_THRESHOLD:
+        residual = _residual(action, matrix)
+        if residual <= _FALLBACK_THRESHOLD:
+            return best, action, residual
+    lifted = lift().spin
+    lift_action = _twisted_action(t, lifted)
+    lift_residual = _residual(lift_action, matrix)
     if not lift_residual < residual and best is not None:
         residual = _residual(action, matrix)
     if not lift_residual < residual:
         return best, action, residual
-    guard(lift, lift_action.lam)
-    return lift, lift_action, lift_residual
+    guard(lifted, lift_action.lam)
+    return lifted, lift_action, lift_residual
 
 
 def _implied_peak(t, s_arr: np.ndarray, lam: float, pseudo_sign: float) -> float:
@@ -836,12 +749,12 @@ def _jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     r, k = x.shape
     cols, rotations = x.T.tolist(), np.eye(k).tolist()
+    squares = [sum(map(mul, col, col)) for col in cols]  # kept for the columns as they turn
     for _ in range(30):  # sweeps; a 7 x 7 block converges in about 8
         rotated = False
         for i in range(k - 1):
             for j in range(i + 1, k):
-                alpha, beta = (sum(a * a for a in col) for col in (cols[i], cols[j]))
-                gamma = sum(a * b for a, b in zip(cols[i], cols[j]))
+                alpha, beta, gamma = squares[i], squares[j], sum(map(mul, cols[i], cols[j]))
                 if abs(gamma) <= k * _EPS * math.sqrt(alpha * beta):
                     continue
                 zeta = (beta - alpha) / (2.0 * gamma)
@@ -852,56 +765,74 @@ def _jacobi_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     u, v = pair[i], pair[j]
                     pair[i] = [cos * a - sin * b for a, b in zip(u, v)]
                     pair[j] = [sin * a + cos * b for a, b in zip(u, v)]
+                squares[i], squares[j] = sum(map(mul, cols[i], cols[i])), sum(map(mul, cols[j], cols[j]))
                 rotated = True
         if not rotated:
             break
-    order = sorted(range(k), key=lambda j: -sum(a * a for a in cols[j]))
+    order = sorted(range(k), key=lambda j: -squares[j])
     return (np.array([cols[j] for j in order]).reshape(k, r).T,
             np.array([rotations[j] for j in order]).reshape(k, k).T)
 
 
-def _householder(m: np.ndarray) -> tuple[list, np.ndarray]:
-    """Householder QR m = H(v_1)...H(v_k) R of an r x c matrix, r >= c: the unit v_j and R's diagonal.
+def _householder(m: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """Householder QR m = H(v_1)...H(v_k) R of an r x c matrix, r >= c.
 
-    H(v) = I - 2 v v^T.  A column already on its axis gets no reflection.
+    Returns the unit v_j, R's diagonal and W = H(v_1)...H(v_k) D (D = -1 where
+    R's diagonal is negative, else 1), the transpose of the reflections applied
+    to the identity alongside m.  H(v) = I - 2 v v^T; a column on its axis gets none.
     """
-    m = m.copy()
-    vectors, diag = [], np.zeros(m.shape[1])
-    for j in range(m.shape[1]):
-        x = m[j:, j]
-        tail = float(np.sum(x[1:] * x[1:]))
-        diag[j] = x[0]
+    rows, columns = m.shape
+    m = np.concatenate((m, np.eye(rows)), axis=1)
+    vectors, diag = [], np.zeros(columns)
+    for j in range(columns):
+        head, x = float(m[j, j]), m[j + 1:, j]
+        tail = float(np.add.reduce(x * x))
+        diag[j] = head
         if tail == 0.0:
             continue
-        norm = math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
-        v = np.concatenate((np.zeros(j), x))
-        v[j] += norm
-        v /= math.sqrt(float(np.sum(v * v)))
-        m -= 2.0 * np.outer(v, np.einsum("i,ik->k", v, m))
+        norm = math.copysign(math.sqrt(head * head + tail), head)
+        lead = head + norm  # no cancellation: head and norm share a sign
+        v = np.zeros(rows)
+        v[j], v[j + 1:] = lead, x
+        v /= math.sqrt(lead * lead + tail)
+        m -= (2.0 * v)[:, None] * np.einsum("i,ik->k", v, m)
         diag[j] = -norm
         vectors.append(v)
-    return vectors, diag
+    signs = np.append(np.where(diag < 0.0, -1.0, 1.0), np.ones(rows - columns))
+    return vectors, diag, m[:, columns:].T * signs
 
 
-def _lift_orthogonal(t, arr: np.ndarray, block: np.ndarray, offset: int) -> np.ndarray:
-    """arr * lift(W) for an orthogonal block W on the generators from ``offset`` on.
+# The CS lift S_c, within spin_error (2-norm) of S', the exact product of its float factors; the
+# action M' of S', within action_error per entry; lam = <reverse(S') S'>_0, within lam_error relatively.
+_Lift = namedtuple("_Lift", "spin action action_error spin_error lam lam_error")
 
-    W = H(v_1)...H(v_k) D with D = diag(+-1) (``_householder``), and H(v)
-    lifts to the unit vector v in either metric, so lift(W) = lift(D) v_k
-    ... v_1, lift(D) the generators where D has -1.
+
+def _lift_orthogonal(t, arr: np.ndarray, vectors: list, diag: np.ndarray, offset: int):
+    """arr * lift(W) for W = H(v_1)...H(v_k) D on the generators from ``offset`` on.
+
+    D has -1 where ``diag`` is negative, as ``_householder`` factors an
+    orthogonal block.  H(v) lifts to the unit vector v in either metric, so
+    lift(W) = lift(D) v_k ... v_1, lift(D) the generators where D has -1.
+    Returns arr and the number of factors.
     """
-    vectors, diag = _householder(block)
-    for i in np.flatnonzero(diag < 0.0):
+    flips = np.flatnonzero(diag < 0.0)
+    for i in flips:
         arr = _blade_mul_right(t, arr, 1 << (offset + int(i)))
     coords = np.zeros(t.n)
     for v in reversed(vectors):
         coords[offset:offset + len(v)] = v
         arr = _vector_mul_right(t, arr, coords)
-    return arr
+    return arr, len(vectors) + len(flips)
 
 
-def _csd_lift(t, matrix: OrthoMatrix) -> np.ndarray:
-    """S covering P from the hyperbolic CS decomposition P = L A0 R, in O(n^2 2^n).
+def _lift_block(p: int, q: int, factors) -> tuple[np.ndarray, int]:
+    """``_lift_orthogonal`` of an orthogonal block's factors from 1 in Cl(p, q), p or q zero."""
+    return (np.ones(1), 0) if p + q == 0 else _lift_orthogonal(
+        _get_tables(Signature(p, q)), np.eye(1, 1 << (p + q))[0], *factors[:2], 0)
+
+
+def _csd_lift(t, matrix: OrthoMatrix) -> _Lift:
+    """S covering P from the hyperbolic CS decomposition P = L A0 R, in O(n^2 2^n), and M'.
 
     (Higham, "J-orthogonal matrices: properties and generation", SIAM Review
     45 (2003), section 3.)  L = diag(U1, U2) and R = diag(V1, V2)^T are
@@ -911,31 +842,61 @@ def _csd_lift(t, matrix: OrthoMatrix) -> np.ndarray:
     diag(1/c) U1^T A and U2 = D V2 diag(1/c) for the diagonal blocks A, D:
     every division is by c >= 1, so nothing cancels however strong the boost.
     In the row convention lift(X Y) = lift(Y) lift(X), so S = lift(R)
-    lift(A0) lift(L), by right products alone; the boost of plane i lifts to
-    cosh(sigma_i / 2) - sinh(sigma_i / 2) e_i e_{p+i}.  S is a unit versor
-    on any component of O(p,q).  No dense product, np.linalg or BLAS.
+    lift(A0) lift(L), by right products alone; U1 is lifted from the
+    reflections that complete the SVD where p >= q, the other blocks from
+    their QR, and the boost of plane i lifts to cosh(sigma_i / 2) -
+    sinh(sigma_i / 2) e_i e_{p+i}.  S is a unit versor on any component of
+    O(p,q).  No dense product, np.linalg or BLAS.
+
+    M' = diag(W3, W4) A0' diag(W1, W2) for the blocks W = H(v_1)...H(v_k) D
+    the factors lift to (v x v^-1 does not depend on |v|), each computed with
+    its rows within r = k (2 m + 8) eps (x - 2 v (v^T x) with |v|^2 = 1 +- (m +
+    4) u rounds by (2 m + 8) eps |x|, u = eps / 2), and A0' the boosts of the
+    float pairs (c, s): rows i, p+i mix by (c^2 + s^2) / l and 2 c s / l, l =
+    (c - s)(c + s), within 6 u.  With a = max (c + s) / (c - s) the norm of A0,
+    every entry of A0 R is within e = a (r_R + 5 eps) and its columns have
+    2-norm x <= a + sqrt(n) e; then every entry of M' is within (r_L + (m + 2)
+    eps) x + sqrt(n) e, m = max(p, q).  For S_c, a product by v rounds by (m +
+    1) sqrt(m) u |X| and keeps |X|, the blocks' product by u, a boost by 2 u (c
+    + s) |X| and stretches by c + s.  <reverse(S') S'>_0 = +- prod l |v|^2.
     """
     p, q = t.sig.p, t.sig.q
     a, b, d = matrix.entries[:p, :p], matrix.entries[:p, p:], matrix.entries[p:, p:]
     w, rotations = _jacobi_svd(b if p >= q else b.T)
-    vectors, diag = _householder(w)
-    # the orthogonal factor with W = completed [diag(s); 0]
-    completed = np.diag(np.append(np.where(diag < 0.0, -1.0, 1.0), np.ones(len(w) - len(diag))))
-    for v in reversed(vectors):
-        completed -= 2.0 * np.outer(v, np.einsum("i,ik->k", v, completed))
+    vectors, diag, completed = completing = _householder(w)  # W = completed [diag(s); 0]
     u1, v2 = (completed, rotations) if p >= q else (rotations, completed)
+    third, second = completing if p >= q else _householder(u1), _householder(v2.T)
     s = np.abs(diag)
-    c = np.ones(max(p, q))
-    c[:len(s)] = np.sqrt(1.0 + s * s)
-    arr = np.zeros(t.size)
-    arr[0] = 1.0
-    arr = _lift_orthogonal(t, arr, np.einsum("ji,jk->ik", u1, a) / c[:p, None], 0)
-    arr = _lift_orthogonal(t, arr, v2.T, p)
-    for i in np.flatnonzero(s):
+    c = np.sqrt(1.0 + np.append(s, np.zeros(max(p, q) - len(s))) ** 2)
+    first = _householder(np.einsum("ji,jk->ik", u1, a) / c[:p, None])
+    fourth = _householder(np.einsum("ij,jk->ik", d, v2) / c[:q])
+    # R acts on each block alone: lift it in the blocks' subalgebras, e_L e_H = e_K for K = H 2^p + L
+    x1, _ = _lift_block(p, 0, first)
+    x2, second_factors = _lift_block(0, q, second)
+    arr, rows = np.outer(x2, x1).ravel(), np.zeros((t.n, t.n))
+    rows[:p, :p], rows[p:, p:] = first[2], second[2]
+    stretch, growth, lam, planes = 1.0, 1.0, 1.0, np.flatnonzero(s)
+    for i in map(int, planes):
         half = math.sqrt((c[i] + 1.0) / 2.0)
-        arr = arr * half + _blade_mul_right(t, arr, 1 << int(i) | 1 << (p + int(i)), -s[i] / (2.0 * half))
-    arr = _lift_orthogonal(t, arr, u1, 0)
-    return _lift_orthogonal(t, arr, np.einsum("ij,jk->ik", d, v2) / c[:q], p)
+        sinh_half = float(s[i]) / (2.0 * half)
+        arr = arr * half + _blade_mul_right(t, arr, 1 << i | 1 << (p + i), -sinh_half)
+        low, high, scalar = half - sinh_half, half + sinh_half, (half - sinh_half) * (half + sinh_half)
+        cosh, sinh = (half * half + sinh_half * sinh_half) / scalar, 2.0 * half * sinh_half / scalar
+        rows[i], rows[p + i] = cosh * rows[i] + sinh * rows[p + i], sinh * rows[i] + cosh * rows[p + i]
+        stretch, growth, lam = max(stretch, high / low), growth * high, lam * scalar
+    arr, _ = _lift_orthogonal(t, arr, *third[:2], 0)
+    arr, fourth_factors = _lift_orthogonal(t, arr, *fourth[:2], p)
+    rows[:p] = np.einsum("ij,jk->ik", third[2], rows[:p])
+    rows[p:] = np.einsum("ij,jk->ik", fourth[2], rows[p:])
+    blocks = [(len(first[0]), p), (len(second[0]), q), (len(third[0]), p), (len(fourth[0]), q)]
+    r = [k * (2 * m + 8) * _EPS for k, m in blocks]  # row errors of the computed blocks
+    spin_terms = sum(k * (m + 1) * math.sqrt(m) for k, m in blocks) + 2 * len(planes) + 2
+    entry = stretch * (max(r[:2]) + 5.0 * _EPS)  # in A0 R; the second-order terms are below eps
+    column = stretch + math.sqrt(t.n) * entry
+    return _Lift(arr, rows, (max(r[2:]) + (max(p, q) + 2) * _EPS) * column + math.sqrt(t.n) * entry,
+                 growth * _EPS / 2.0 * spin_terms,
+                 lam * (-1.0) ** (second_factors + fourth_factors),  # each q-side factor squares to -1
+                 _EPS / 2.0 * (sum(k * (m + 4) for k, m in blocks) + 4 * len(planes) + 1))
 
 
 def recover_hestenes(
@@ -990,16 +951,10 @@ def recover_hestenes(
         raise HestenesConditionError("the contraction self-product vanished")
     w_inv = 1.0 / w
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
-    action = _twisted_action(t, normalized)
-    residual = _block_defect(action, matrix)
-    if residual <= _FALLBACK_THRESHOLD:
-        residual = _residual(action, matrix)
-    if residual > _FALLBACK_THRESHOLD:  # the lift implies the contraction 4 S (x_0 - x_I I)
-        normalized, action, residual = _csd_fallback(
-            t, matrix, normalized, action, residual, residual_tol,
-            lambda s, lam: gate(4.0 * _implied_peak(t, s, lam, -1.0)))
-    return _verified(t, normalized, action, residual, residual_tol, spinor_norm_sign(matrix), None,
-                     matrix)
+    verified = _dense_verified(  # the lift implies the contraction 4 S (x_0 - x_I I)
+        t, [(None, normalized)], matrix, lambda s, lam: gate(4.0 * _implied_peak(t, s, lam, -1.0)),
+        lambda: _csd_lift(t, matrix))
+    return _verified(t, *verified, residual_tol, spinor_norm_sign(matrix), None, matrix)
 
 
 def rotor_from_frames(
@@ -1069,9 +1024,8 @@ def _classify(t, s_arr: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOLERANCE, act
 
     ``action`` is the action of S or of -S (they coincide) if already known:
     its dense gram decides the gram check where it is formed, and otherwise
-    the dense bounds of the certificate the lift made are tried first.
-    Without one, an action is built on the scalar of reverse(S)*S alone and
-    its certificate is tried first.  Each row may leave grade 1 by ``tol``
+    its certificate is tried first, as for an action built here on the
+    scalar of reverse(S)*S alone.  Each row may leave grade 1 by ``tol``
     times ``row_scale``, or times max(1, its own peak) when that is None.
     """
     peak = float(np.max(np.abs(s_arr)))
@@ -1094,16 +1048,12 @@ def _classify(t, s_arr: np.ndarray, tol: float = DEFAULT_CLASSIFY_TOLERANCE, act
         if abs(gram[0]) <= tol:
             raise NotInLipschitzGroupError("S is not invertible")
 
-    bounds = None
     if action is None:
         lam = _gram_scalar(t, s_arr)
         if abs(lam) <= tol:
             lipschitz(_gram(t, s_arr), peak)  # rejects a scalar this small
         action = _Action(t, s_arr, lam)
-        bounds = action.certificate()
-    elif action.certified:
-        bounds = action.dense_bounds()
-    g, certified = bounds if bounds is not None else (math.inf, None)
+    g, certified = (math.inf, None) if action.gram_formed else action.certificate()
     # Where the certificate does not settle the gram, the dense one decides.
     if action.gram_formed or not g <= tol * max(1.0, abs(action.lam), peak * peak):
         lipschitz(action.gram, peak)

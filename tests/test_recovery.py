@@ -862,33 +862,6 @@ class TestCommutationCertificate:
             full = rotorlift.recovery._product_arrays(t, u * t.reverse_signs, v)
             assert rotorlift.recovery._central_parts(t, u * t.reverse_signs, v) == (full[0], full[-1])
 
-    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
-    def test_non_central_bound_holds_for_any_element_and_root(self, sig):
-        """reverse(N) N for N = S Z + Delta, Z = alpha + beta I central, against _non_central_bound.
-
-        Random non-versors with random blocks make the (|alpha| + |beta|)^2 g term
-        carry the bound; a versor with its own block and a perturbation Delta
-        makes the |Delta| term carry it.
-        """
-        t = rotorlift.recovery._get_tables(sig)
-        rng = np.random.default_rng(40 + sig.n)
-        versor = random_versor(sig, 2, seed=sig.n)
-        lam = rotorlift.recovery._gram_scalar(t, versor.coeffs)
-        cases = [(self.action(sig, s, block), 0.0) for s, block in self.elements(sig)]
-        cases.append((rotorlift.recovery._Action(t, versor.coeffs, lam), 1e-3))
-        non_central = ~((t.masks == 0) | ((t.masks == t.full_mask) & (sig.n % 2 == 1)))
-        for action, perturbation in cases:
-            s = Multivector(sig, action.s)
-            for _ in range(3):
-                alpha, beta = rng.uniform(2.0, 6.0, 2) * rng.choice([-1.0, 1.0], 2)
-                root = CenterElement(sig, alpha, beta if sig.n % 2 else 0.0)
-                n_arr = geometric_product(s, root.embed()).coeffs
-                n_arr = n_arr + perturbation * random_multivector(sig, rng).coeffs
-                g = action.certificate()[0]
-                bound = rotorlift.recovery._non_central_bound(t, n_arr, action.s, root, g)
-                dense = rotorlift.recovery._product_arrays(t, n_arr * t.reverse_signs, n_arr)
-                assert np.max(np.abs(dense[non_central])) <= bound
-
     def test_settles_versors_without_a_dense_product(self, monkeypatch):
         calls = TestTwistedAction.count_products(monkeypatch)
         for sig in signatures_up_to(6):
@@ -931,53 +904,27 @@ class TestCommutationCertificate:
             classify_spin(s, tol=tol)
 
 
-class TestLiftCertificate:
-    """recover_spin from n0 = _LIFT_CERTIFICATE_DIMENSION on: the certificate in place of dense products."""
+class TestLiftRoute:
+    """recover_spin from n0 = _LIFT_ROUTE_DIMENSION on: the candidate verified by its distance to the lift."""
 
-    N0 = rotorlift.recovery._LIFT_CERTIFICATE_DIMENSION
+    N0 = rotorlift.recovery._LIFT_ROUTE_DIMENSION
 
     @staticmethod
     def dense_path(monkeypatch):
-        monkeypatch.setattr(rotorlift.recovery, "_LIFT_CERTIFICATE_DIMENSION",
-                            rotorlift.recovery.MAX_DIMENSION + 1)
+        monkeypatch.setattr(rotorlift.recovery, "_LIFT_ROUTE_DIMENSION", rotorlift.recovery.MAX_DIMENSION + 1)
 
-    @pytest.mark.parametrize("sig, seed", [(Signature(7, 1), 0), (Signature(8, 1), 0), (Signature(9, 1), 1)])
-    def test_settled_lift_makes_no_dense_product(self, monkeypatch, sig, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p, q", [(5, 4), (8, 1), (5, 5), (9, 1), (6, 5), (10, 1), (7, 1)])
+    def test_lift_makes_no_dense_product(self, monkeypatch, p, q, seed):
+        # balanced signatures included: Cl(6,5) seed 2 made 13 dense products
+        # when a commutation-defect certificate verified the candidate
+        sig = Signature(p, q)
         assert sig.n >= self.N0
         matrix = forward_matrix(random_versor(sig, 4, seed=seed))
         calls = TestTwistedAction.count_products(monkeypatch)
         result = recover_spin(matrix)
         assert result.residual <= 1e-11
-        assert len(calls) == 0  # central part, lambda, block, certificate: no dense product
-
-    def test_rows_left_to_the_probe_make_one_product(self, monkeypatch):
-        # a balanced signature, where the row bound stays above 1e-11 of the
-        # entry peak: the gram and the non-central check settle, the probe reads the rows
-        matrix = forward_matrix(random_versor(Signature(5, 4), 4, seed=2))
-        calls = TestTwistedAction.count_products(monkeypatch)
-        result = recover_spin(matrix)
-        assert len(calls) <= 1
-        self.dense_path(monkeypatch)
-        assert result.residual == recover_spin(matrix).residual  # the probe's value, as below n0
-
-    def test_two_central_roots_read_one_block(self, monkeypatch):
-        sig = Signature(5, 4)  # w^2 = +1: two central roots
-        assert sig.n >= self.N0 and pseudoscalar_square(sig) > 0
-        matrix = forward_matrix(random_versor(sig, 4, seed=0))
-        actions = {"_twisted_action": [], "_light_action": []}
-        for name, calls in actions.items():
-            real = getattr(rotorlift.recovery, name)
-
-            def counting(*args, real=real, calls=calls):
-                calls.append(1)
-                return real(*args)
-
-            monkeypatch.setattr(rotorlift.recovery, name, counting)
-        products = TestTwistedAction.count_products(monkeypatch)
-        assert recover_spin(matrix).residual <= 1e-11
-        # the first root's block rules out the second, S I, whose block is -M
-        assert actions == {"_twisted_action": [], "_light_action": [1]}
-        assert len(products) == 0
+        assert len(calls) == 0  # central part, lift, distance, bound and tags: no dense product
 
     @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(9)
                                      if sig.n % 2 == 1 and pseudoscalar_square(sig) > 0])
@@ -996,33 +943,83 @@ class TestLiftCertificate:
             (_, first), (_, second) = candidates
             image = rotorlift.recovery._blade_mul_right(t, first, t.full_mask)
             assert np.array_equal(second, image), k  # exactly, up to the sign of zeros
-            a1, a2 = (rotorlift.recovery._light_action(t, arr) for arr in (first, second))
+            a1, a2 = (rotorlift.recovery._Action(t, arr, rotorlift.recovery._gram_scalar(t, arr))
+                      for arr in (first, second))
             assert np.max(np.abs(a1.block + a2.block)) <= 1e-12 * (1.0 + np.max(np.abs(a1.block)))
             d1, d2 = (rotorlift.recovery._block_defect(a, matrix) for a in (a1, a2))
-            skipped = rotorlift.recovery._image_loses(t, a1, d1, matrix)
-            assert skipped == (d1 < 1e-9), k  # the right root is read, or rules out its image
-            assert not skipped or d2 > d1, k
+            # the root nearer the lift is the one whose block is P: S and S I differ in parity
+            lift = rotorlift.recovery._csd_lift(t, matrix)
+            near1, near2 = (rotorlift.recovery._lift_bound(t, lift, matrix, arr)[0]
+                            for arr in (first, second))
+            assert (near1 < near2) == (d1 < d2), k
+            assert min(d1, d2) < 1e-9 and min(near1, near2) < 1e-9 and max(near1, near2) == math.inf, k
 
-    @pytest.mark.parametrize("n", range(N0, 11))
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
+    def test_non_central_bound_holds_for_any_element_and_root(self, sig):
+        """reverse(N) N for N = S Z + Delta, Z = alpha + beta I central, against _non_central_peak.
+
+        Random non-versors with random blocks make the (|alpha| + |beta|)^2 g term
+        carry the bound; a versor with its own block and a perturbation Delta
+        makes the |Delta| term carry it.
+        """
+        t = rotorlift.recovery._get_tables(sig)
+        rng = np.random.default_rng(40 + sig.n)
+        versor = random_versor(sig, 2, seed=sig.n)
+        lam = rotorlift.recovery._gram_scalar(t, versor.coeffs)
+        certificate = TestCommutationCertificate
+        cases = [(certificate.action(sig, s, block), 0.0) for s, block in certificate.elements(sig)]
+        cases.append((rotorlift.recovery._Action(t, versor.coeffs, lam), 1e-3))
+        non_central = ~((t.masks == 0) | ((t.masks == t.full_mask) & (sig.n % 2 == 1)))
+        for action, perturbation in cases:
+            s = Multivector(sig, action.s)
+            for _ in range(3):
+                alpha, beta = rng.uniform(2.0, 6.0, 2) * rng.choice([-1.0, 1.0], 2)
+                root = CenterElement(sig, alpha, beta if sig.n % 2 else 0.0)
+                n_arr = geometric_product(s, root.embed()).coeffs
+                n_arr = n_arr + perturbation * random_multivector(sig, rng).coeffs
+                g = action.certificate()[0]
+                bound = rotorlift.recovery._non_central_peak(t, n_arr, action.s, root, g)
+                dense = rotorlift.recovery._product_arrays(t, n_arr * t.reverse_signs, n_arr)
+                assert np.max(np.abs(dense[non_central])) <= bound
+
+    @pytest.mark.parametrize("n", range(N0, 12))
     def test_same_answers_as_the_dense_path(self, monkeypatch, n):
-        """Spin bytes, tags, norm sign and warning as below n0; the residual is the
-        dense one, or the certificate's bound where that settled the rows."""
+        """Spin bytes, tags, norm sign and warning as below n0, and a residual that
+        bounds the dense one read from the fully formed rows.  Cl(5,4) k = 4 keeps
+        a candidate at 5.9e-12 below n0, whose bound is 2.9e-11: the lift wins there."""
         matrices = []
         for p in (n, n - 1, n - n // 2):
             sig = Signature(p, n - p)
             matrices += [forward_matrix(random_versor(sig, k, seed=500 + k)) for k in (2, 4)]
         matrices.append(boost_turn(Signature(n - 4, 4), 7.0, 1.0)[0])  # lifted by the CSD fallback
-        certified = [recover_spin(matrix) for matrix in matrices]
-        # a tolerance below the certificate's bound: the rows decide, as below n0
+        lifted = [recover_spin(matrix) for matrix in matrices]
+        # a tolerance below the lift's bound: the dense rows decide, as below n0
         tight = [self.outcome(matrix, 1e-14) for matrix in matrices]
         self.dense_path(monkeypatch)
-        for matrix, result, outcome in zip(matrices, certified, tight):
+        for matrix, result, outcome in zip(matrices, lifted, tight):
             dense = recover_spin(matrix)
-            assert result.spin.coeffs.tobytes() == dense.spin.coeffs.tobytes()
+            if result.spin.coeffs.tobytes() != dense.spin.coeffs.tobytes():
+                # a candidate whose dense residual is near the threshold, but whose
+                # bound is above it: the lift wins on its bound, with a smaller residual
+                t = rotorlift.recovery._get_tables(matrix.sig)
+                lift = rotorlift.recovery._csd_lift(t, matrix).spin
+                lift = canonicalize_sign(Multivector(matrix.sig, lift))
+                assert result.spin.coeffs.tobytes() == lift.coeffs.tobytes()
+                assert 1e-12 < dense.residual <= 1e-11
+                assert self.rows_residual(result.spin, matrix) < dense.residual
             assert (result.groups, result.norm_sign, result.warning) == (dense.groups, dense.norm_sign,
                                                                          dense.warning)
-            assert result.residual == dense.residual or dense.residual <= result.residual <= 1e-11
+            assert result.residual >= self.rows_residual(result.spin, matrix)
             assert outcome == self.outcome(matrix, 1e-14)
+
+    @staticmethod
+    def rows_residual(spin, matrix):
+        """max(block defect, peak of the rows off grade 1) over max(1, entry peak), from all n rows."""
+        t = rotorlift.recovery._get_tables(spin.sig)
+        rows = rotorlift.recovery._twisted_action(t, spin.coeffs).form_rows()
+        entries = np.zeros_like(rows)
+        entries[:, t.grades == 1] = matrix.entries
+        return float(np.max(np.abs(rows - entries))) / max(1.0, float(np.max(np.abs(matrix.entries))))
 
     @staticmethod
     def outcome(matrix, residual_tol):
@@ -1066,8 +1063,8 @@ class TestLiftCertificate:
     ])
     def test_numerator_outside_the_domain_keeps_its_error(self, monkeypatch, sig, kind, error, message):
         # the dense check on reverse(N)*N runs first below n0; from n0 on the
-        # certificate cannot settle it and falls back to it, also when the
-        # central part has no real root
+        # candidate's distance to the lift cannot settle it and falls back to
+        # it, also when the central part has no real root
         arr = self.numerator(sig, kind)
         monkeypatch.setattr(rotorlift.recovery, "_numerator_array", lambda matrix: arr.copy())
         real = rotorlift.recovery._central_parts
@@ -1099,8 +1096,8 @@ class TestLiftCertificate:
         self.dense_path(monkeypatch)
         dense = recover_spin(matrix)
         assert dense.spin.coeffs.tobytes() == result.spin.coeffs.tobytes()
-        # from n0 on the residual is the certificate's bound
-        assert dense.residual == result.residual or dense.residual <= result.residual <= 1e-11
+        # from n0 on the residual is the lift's bound
+        assert dense.residual <= result.residual <= 1e-11
 
     def test_classification_judges_rows_at_the_residual_scale(self):
         # A strong Cl(5,4) versor, entry peak 1.2e3: the Newton polish that the CSD
@@ -1170,7 +1167,8 @@ def action_matrix(spin, det=1.0):
     """P read from the action of S, unvalidated: validate_pseudo_orthogonal rejects
     many strong boosts over the rounding of their determinant (ROADMAP item 5)."""
     t = rotorlift.recovery._get_tables(spin.sig)
-    return OrthoMatrix(spin.sig, rotorlift.recovery._light_action(t, spin.coeffs).block, 0.0, det)
+    lam = rotorlift.recovery._gram_scalar(t, spin.coeffs)
+    return OrthoMatrix(spin.sig, rotorlift.recovery._Action(t, spin.coeffs, lam).block, 0.0, det)
 
 
 def block_unit_vector(sig, rng, low, high):
@@ -1212,7 +1210,7 @@ class TestCsdLift:
     @staticmethod
     def lift(matrix):
         t = rotorlift.recovery._get_tables(matrix.sig)
-        return Multivector(matrix.sig, rotorlift.recovery._csd_lift(t, matrix))
+        return Multivector(matrix.sig, rotorlift.recovery._csd_lift(t, matrix).spin)
 
     @staticmethod
     def apart(a, b):
@@ -1237,10 +1235,17 @@ class TestCsdLift:
         v1, v2 = (f.coeffs[t.grades == 1][offset:offset + 3] for f in (f1, f2))
         h1, h2 = (np.eye(3) - 2.0 * np.outer(v, v) for v in (v1, v2))
         one = Multivector.scalar(sig, 1.0).coeffs
-        lifted = Multivector(sig, rotorlift.recovery._lift_orthogonal(
-            t, one, np.einsum("ab,bc->ac", h1, h2), offset))
+        w = np.einsum("ab,bc->ac", h1, h2)
+        vectors, diag, block = rotorlift.recovery._householder(w)
+        arr, factors = rotorlift.recovery._lift_orthogonal(t, one, vectors, diag, offset)
+        lifted = Multivector(sig, arr)
         assert self.apart(lifted, f2 * f1) <= 1e-14
         assert self.apart(lifted, f1 * f2) > 1e-2
+        # the factors act as W on their block, the identity elsewhere; the QR returns W too
+        action = forward_matrix(lifted).entries
+        assert np.max(np.abs(action[offset:offset + 3, offset:offset + 3] - w)) <= 1e-14
+        assert np.max(np.abs(block - w)) <= 1e-14
+        assert factors >= len(vectors) >= 1
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 2)])
     def test_boost_bivector_takes_the_minus_sign(self, p, q):
@@ -1282,12 +1287,17 @@ class TestCsdLift:
     @pytest.mark.parametrize("sig", signatures_up_to(8))
     def test_every_signature_and_reflection_count(self, sig):
         # odd counts at even n included, which the paper's construction excludes
+        t = rotorlift.recovery._get_tables(sig)
         for k in range(6):
             spin = random_versor(sig, k, seed=60 + k)
             matrix = forward_matrix(spin)
             lifted = self.lift(matrix)
             assert twisted_adjoint_residual(lifted, matrix) <= 1e-11, k
             assert self.apart(lifted, spin) <= 1e-10, k
+            # the bound from the exact action of the lift's factors holds, and is tight enough to use
+            lift = rotorlift.recovery._csd_lift(t, matrix)
+            bound = rotorlift.recovery._lift_bound(t, lift, matrix, lift.spin)[1]
+            assert TestLiftRoute.rows_residual(lifted, matrix) <= bound <= 1e-10, k
 
     def test_lift_large_probe_that_failed_verification(self):
         # the lift-large seed-1 probe, Cl(5,4) k=4 at entry peak 6.5e4, rebuilt from its
@@ -1323,6 +1333,10 @@ class TestCsdLift:
         result = recover_spin(matrix)
         assert result.residual <= 1e-9
         assert self.apart(result.spin, spin) <= 1e-9
+        t = rotorlift.recovery._get_tables(sig)
+        lift = rotorlift.recovery._csd_lift(t, matrix)
+        bound = rotorlift.recovery._lift_bound(t, lift, matrix, lift.spin)[1]
+        assert TestLiftRoute.rows_residual(Multivector(sig, lift.spin), matrix) <= bound
 
     @pytest.mark.parametrize("seed", sorted(NO_CENTRAL_PART))
     def test_lift_outside_the_domain_is_rejected(self, seed):
@@ -1351,8 +1365,12 @@ class TestCsdLift:
         with pytest.raises(CenterProjectionVanishesError, match="numerator sum is numerically zero"):
             recover_spin(matrix)
 
-    def test_guard_runs_only_where_verification_fails(self, monkeypatch):
-        matrix = boost_turn(Signature(1, 3), 1.0, 0.7)[0]
+    @pytest.mark.parametrize("matrix, formed", [
+        (boost_turn(Signature(1, 3), 1.0, 0.7)[0], 0),  # verified without the lift
+        (boost_turn(Signature(3, 3), 9.0, 1.0)[0], 1),  # the CSD fallback forms it
+        (forward_matrix(random_versor(Signature(5, 4), 4, seed=1)), 1),  # from n0 on, formed up front
+    ])
+    def test_guard_runs_only_where_verification_fails(self, monkeypatch, matrix, formed):
         real, lifts = rotorlift.recovery._csd_lift, []
 
         def counting(*args):
@@ -1361,8 +1379,10 @@ class TestCsdLift:
 
         monkeypatch.setattr(rotorlift.recovery, "_csd_lift", counting)
         recover_spin(matrix)
-        assert not lifts
-        # an unmet tolerance fails verification; the lift's implied sum clears the gate
+        assert len(lifts) == formed
+        lifts.clear()
+        # an unmet tolerance fails verification; the lift's implied sum clears the
+        # gate, and the lift is formed once however many steps read it
         with pytest.raises(VerificationFailedError):
             recover_spin(matrix, residual_tol=1e-30)
         assert len(lifts) == 1
@@ -1405,7 +1425,7 @@ class TestCsdLift:
             "for p, q in ((1, 3), (3, 3), (5, 4), (2, 6)):\n"
             "    for k in range(5):\n"
             "        matrix = forward_matrix(random_versor(Signature(p, q), k, seed=k))\n"
-            "        digest.update(r._csd_lift(r._get_tables(matrix.sig), matrix).tobytes())\n"
+            "        digest.update(r._csd_lift(r._get_tables(matrix.sig), matrix).spin.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
         env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}

@@ -36,16 +36,15 @@ scalar and the rows off grade 1 in O(n^2 2^n); a check it does not settle
 falls to the dense gram, the probe and the rows.
 
 From n0 = ``_LIFT_ROUTE_DIMENSION`` on, ``recover_spin`` verifies the
-candidates by their distance to the CS lift (``_lift_bound``): max |P - M'|
-for the exact action M' of the lift's factors, plus a sensitivity times the
-distance, bounds the exact residual with no dense product.  A check the
-distance does not settle runs its dense form.
+candidate nearest the CS lift by its distance to it (``_lift_bound``):
+max |P - M'| for the exact action M' of the lift's factors, plus a
+sensitivity times the distance, bounds the exact residual with no dense
+product.  Where it does not settle a check, the dense route decides.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -108,9 +107,12 @@ _FALLBACK_THRESHOLD = 1e-11
 # Fixed weights r_a = 1/sqrt(a + 2) of the probe sum_a r_a e_a (see
 # _Action.off_vector): fixed, so that results repeat bit for bit.
 _PROBE_WEIGHTS = 1.0 / np.sqrt(np.arange(MAX_DIMENSION) + 2.0)
-# Dimension n0 from which recover_spin verifies its candidates by their distance to the CS lift
-# (_lift_settled); below it the lift alone costs about as much as the whole dense recovery.
-_LIFT_ROUTE_DIMENSION = 8
+# Dimension n0 from which recover_spin verifies its candidate by its distance
+# to the CS lift (_lift_settled).  Mean ms on random_versor(sig, k, seed),
+# k = 2, 4, seeds 1-4, lift route against dense: Cl(4,4) 1.16 / 0.79,
+# Cl(7,1) 0.76 / 0.64, Cl(5,4) 1.43 / 2.23, Cl(8,1) 1.35 / 2.10, Cl(5,5)
+# 6.4 / 8.2, Cl(9,1) 1.67 / 4.88.
+_LIFT_ROUTE_DIMENSION = 9
 # Unit roundoff of float64, and the multiple c of eps |S|^2 (|S| the 2-norm of
 # the coefficients) that classify_spin allows for rounding in the scalar of
 # reverse(S)*S, and over |lambda| in each computed row.  Over boosts at
@@ -156,7 +158,7 @@ class RotorResult:
     n = 3 mod 4).  ``residual`` is the largest deviation of the conjugation
     action of S from the rows of the input matrix: the larger of the
     grade-1 block defect max |M - P| and the peak of the rows off grade 1,
-    over max(1, entry peak).  From n = 8 on it is an upper bound on that (at
+    over max(1, entry peak).  From n = 9 on it is an upper bound on that (at
     most 1e-11 and ``residual_tol``) where the distance to the CS lift
     settles it (``_lift_bound``), and the computed rows' deviation elsewhere.
     """
@@ -532,9 +534,9 @@ def recover_spin(
     normalizes by the central square root whose sign is fixed by the
     component of the group, and keeps the candidate with the smallest
     verification residual, or the CS-decomposition lift where that verifies
-    better (``_dense_verified``); from n0 on, by their distance to the lift
-    where that settles it (``_lift_settled``).  The returned representative
-    is sign-canonicalized; the other preimage is its negative.
+    better (``_dense_verified``); from n0 on, the candidate nearest the lift
+    where its distance settles that (``_lift_settled``).  The returned
+    representative is sign-canonicalized; the other preimage is its negative.
 
     Before a VerificationFailedError is raised, the sum that ``_csd_lift``
     implies is put to the degeneracy gate, as in ``_dense_verified``.  The
@@ -565,9 +567,9 @@ def recover_spin(
             "the result may be ill-conditioned"
         )
     norm_sign = spinor_norm_sign(matrix)
-    lift = functools.cache(lambda: _csd_lift(t, matrix))
+    lift = _csd_lift(t, matrix) if sig.n >= _LIFT_ROUTE_DIMENSION else None  # formed below n0 on demand
     try:
-        if sig.n < _LIFT_ROUTE_DIMENSION:
+        if lift is None:
             central = _central_gram(t, numerator, norm_sign, peak)
             candidates = _candidates(t, numerator, central_sqrt_candidates(central))
         else:
@@ -578,14 +580,15 @@ def recover_spin(
             except NoRealRootError:  # a non-central reverse(N)*N is reported first, as below n0
                 _central_gram(t, numerator, norm_sign, peak)
                 raise
-            candidates = _candidates(t, numerator, roots)
-            if (settled := _lift_settled(t, numerator, candidates, lift(), matrix, norm_sign, peak,
-                                         residual_tol, guard)) is not None:
+            candidates, settled = _lift_settled(t, numerator, _candidates(t, numerator, roots), lift, matrix,
+                                                norm_sign, peak, residual_tol)
+            if settled is not None:
                 return _verified(t, *settled, residual_tol, norm_sign, warning, matrix)
-        return _verified(t, *_dense_verified(t, candidates, matrix, guard, lift), residual_tol, norm_sign,
-                         warning, matrix)
+        admit = _twisted_action if lift is None else lambda t, s_arr: _bounded_action(t, lift, matrix, s_arr)
+        best, action, residual, lift = _dense_verified(t, candidates, matrix, guard, lift, admit)
+        return _verified(t, best, action, residual, residual_tol, norm_sign, warning, matrix)
     except VerificationFailedError:  # the sum may have cleared the gate on rounding alone
-        lifted = lift().spin
+        lifted = (_csd_lift(t, matrix) if lift is None else lift).spin
         guard(lifted, _gram_scalar(t, lifted))
         raise
 
@@ -661,72 +664,88 @@ def _lift_bound(t, lift: _Lift, matrix: OrthoMatrix, s_arr: np.ndarray) -> tuple
 
 
 def _non_central_peak(t, numerator: np.ndarray, s_arr: np.ndarray, root: CenterElement, gram: float):
-    """Bound on each non-central coefficient of the exact reverse(N)*N, from S = N / Z.
+    """Bound on each non-central coefficient of the computed reverse(N)*N, from S = N / Z.
 
     ``gram`` bounds reverse(S)*S off the scalar; Z = alpha + beta I is central
     and I maps non-central blades to non-central ones, so reverse(S Z) S Z =
     reverse(Z) Z reverse(S) S is within z^2 gram of the centre, z = |alpha| +
-    |beta|.  D = N - S Z (within 2 eps z |S| + eps |D|) adds |D| (|N| + z |S|).
+    |beta|.  D = N - S Z (within 2 eps z |S| + eps |D|) adds
+    |D| (|N| + z |S|), and the rounding of the dense product in
+    ``_central_gram`` adds 2^n eps |N|^2 (2^n terms a coefficient, Higham
+    ch. 3), so the bound passes only what that check would.
     """
     z = abs(root.scalar_part) + abs(root.pseudo_part)
     s_times_z = s_arr * root.scalar_part + _blade_mul_right(t, s_arr, t.full_mask, root.pseudo_part)
     s_norm, n_norm = _norm(t, s_arr), _norm(t, numerator)
     delta = _norm(t, numerator - s_times_z) * (1.0 + _EPS) + 2.0 * _EPS * z * s_norm
-    return z * z * gram + delta * (n_norm + z * s_norm)
+    return z * z * gram + delta * (n_norm + z * s_norm) + t.size * _EPS * n_norm * n_norm
 
 
 def _lift_settled(t, numerator, candidates, lift: _Lift, matrix: OrthoMatrix, norm_sign: int,
-                  peak: float, residual_tol: float, guard):
-    """From n0 on: (S, action, residual) verified by the distance to the lift, or None.
+                  peak: float, residual_tol: float):
+    """From n0 on: the candidates left to the dense route, and (S, action, residual) or None.
 
-    The candidate nearest +-mu S_c wins unless its bound exceeds the
-    threshold; then the lift wins where its bound is lower, through ``guard``.
-    None where the winner's bound exceeds the threshold or ``residual_tol``.
+    The candidate nearest +-mu S_c is verified by its bound, and the
+    non-central check settled by its distance or run densely.  Above
+    ``_FALLBACK_THRESHOLD`` or ``residual_tol`` the dense route decides on it
+    alone, as the other root, S I, has block -M, or on every candidate where
+    the lift is near none.
     """
-    (_, residual, lam, gram), root, arr = min(
+    (distance, residual, lam, gram), root, arr = min(
         ((_lift_bound(t, lift, matrix, arr), root, arr) for root, arr in candidates),
         key=lambda fit: fit[0][0], default=((math.inf, math.inf, math.nan, math.inf), None, None))
     if root is None or not _non_central_peak(t, numerator, arr, root, gram) <= _non_central_limit(peak):
         _central_gram(t, numerator, norm_sign, peak)
-    if not residual <= _FALLBACK_THRESHOLD:
-        _, lift_residual, lift_lam, lift_gram = _lift_bound(t, lift, matrix, lift.spin)
-        if lift_residual < residual:
-            residual, lam, gram, arr = lift_residual, lift_lam, lift_gram, lift.spin
+    nearest = [(root, arr)] if math.isfinite(distance) else candidates
     if not residual <= min(_FALLBACK_THRESHOLD, residual_tol):
-        return None
-    if arr is lift.spin:
-        guard(arr, lam)
+        return nearest, None
     rows = np.full(t.n, residual * _entry_scale(matrix))  # off grade 1, far within tol: never formed
-    return arr, _Action(t, arr, lam, admitted=False, bounds=(gram, rows)), residual
+    return nearest, (arr, _Action(t, arr, lam, admitted=False, bounds=(gram, rows)), residual)
 
 
-def _dense_verified(t, candidates, matrix: OrthoMatrix, guard, lift):
-    """(S, action, residual) from dense actions: the candidate whose block is closest to P, or the lift.
+def _bounded_action(t, lift: _Lift, matrix: OrthoMatrix, s_arr: np.ndarray) -> _Action:
+    """From n0 on, ``_twisted_action`` with no dense gram where the distance to the lift admits S.
 
-    Above ``_FALLBACK_THRESHOLD`` (a block defect stands, a lower bound, for
-    the residual) ``lift()`` is verified too, and the better wins, ties the
-    candidate.  A winning lift must pass ``guard(S, lambda)``: the sum it
-    implies (``_implied_peak``) must clear the degeneracy gate.
+    The off-scalar bound of ``_lift_bound`` plus the gram's rounding, 2^n eps
+    |S|^2, admits S only where ``_usable_gram`` would; its bounds stand in for
+    the gram and the rows.
+    """
+    _, residual, _, gram = _lift_bound(t, lift, matrix, s_arr)
+    lam, peak, norm = _gram_scalar(t, s_arr), float(np.max(np.abs(s_arr))), _norm(t, s_arr)
+    limit = _GRAM_LIMIT * max(1.0, abs(lam), peak * peak)
+    if abs(lam) < _MIN_LAMBDA or not gram + t.size * _EPS * norm * norm <= limit:
+        return _twisted_action(t, s_arr)
+    return _Action(t, s_arr, lam, bounds=(gram, np.full(t.n, residual * _entry_scale(matrix))))
+
+
+def _dense_verified(t, candidates, matrix: OrthoMatrix, guard, lift: _Lift | None, admit=_twisted_action):
+    """(S, action, residual, lift) from dense actions: the candidate whose block is closest to P, or the lift.
+
+    ``admit(t, S)`` builds each action.  Above ``_FALLBACK_THRESHOLD`` (a
+    block defect stands, a lower bound, for the residual) the CS lift, formed
+    here if ``lift`` is None, is verified too; the better wins, ties the
+    candidate, and a winning lift's implied sum must pass
+    ``guard(S, lambda)``.
     """
     best, action, residual = None, None, math.inf
     for _, arr in candidates:
-        candidate = _twisted_action(t, arr)
+        candidate = admit(t, arr)
         defect = _block_defect(candidate, matrix)
         if defect < residual:
             best, action, residual = arr, candidate, defect
     if residual <= _FALLBACK_THRESHOLD:
         residual = _residual(action, matrix)
         if residual <= _FALLBACK_THRESHOLD:
-            return best, action, residual
-    lifted = lift().spin
-    lift_action = _twisted_action(t, lifted)
+            return best, action, residual, lift
+    lift = _csd_lift(t, matrix) if lift is None else lift
+    lift_action = admit(t, lift.spin)
     lift_residual = _residual(lift_action, matrix)
     if not lift_residual < residual and best is not None:
         residual = _residual(action, matrix)
     if not lift_residual < residual:
-        return best, action, residual
-    guard(lifted, lift_action.lam)
-    return lifted, lift_action, lift_residual
+        return best, action, residual, lift
+    guard(lift.spin, lift_action.lam)
+    return lift.spin, lift_action, lift_residual, lift
 
 
 def _implied_peak(t, s_arr: np.ndarray, lam: float, pseudo_sign: float) -> float:
@@ -791,10 +810,9 @@ def _householder(m: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
         if tail == 0.0:
             continue
         norm = math.copysign(math.sqrt(head * head + tail), head)
-        lead = head + norm  # no cancellation: head and norm share a sign
         v = np.zeros(rows)
-        v[j], v[j + 1:] = lead, x
-        v /= math.sqrt(lead * lead + tail)
+        v[j], v[j + 1:] = head + norm, x
+        v /= math.sqrt(float(np.add.reduce(v * v)))
         m -= (2.0 * v)[:, None] * np.einsum("i,ik->k", v, m)
         diag[j] = -norm
         vectors.append(v)
@@ -844,9 +862,10 @@ def _csd_lift(t, matrix: OrthoMatrix) -> _Lift:
     In the row convention lift(X Y) = lift(Y) lift(X), so S = lift(R)
     lift(A0) lift(L), by right products alone; U1 is lifted from the
     reflections that complete the SVD where p >= q, the other blocks from
-    their QR, and the boost of plane i lifts to cosh(sigma_i / 2) -
-    sinh(sigma_i / 2) e_i e_{p+i}.  S is a unit versor on any component of
-    O(p,q).  No dense product, np.linalg or BLAS.
+    their QR, R's two blocks in their own subalgebras, and the boost of
+    plane i lifts to cosh(sigma_i / 2) - sinh(sigma_i / 2) e_i e_{p+i}.  S is
+    a unit versor on any component of O(p,q).  No dense product, np.linalg
+    or BLAS.
 
     M' = diag(W3, W4) A0' diag(W1, W2) for the blocks W = H(v_1)...H(v_k) D
     the factors lift to (v x v^-1 does not depend on |v|), each computed with
@@ -865,10 +884,10 @@ def _csd_lift(t, matrix: OrthoMatrix) -> _Lift:
     w, rotations = _jacobi_svd(b if p >= q else b.T)
     vectors, diag, completed = completing = _householder(w)  # W = completed [diag(s); 0]
     u1, v2 = (completed, rotations) if p >= q else (rotations, completed)
-    third, second = completing if p >= q else _householder(u1), _householder(v2.T)
     s = np.abs(diag)
     c = np.sqrt(1.0 + np.append(s, np.zeros(max(p, q) - len(s))) ** 2)
     first = _householder(np.einsum("ji,jk->ik", u1, a) / c[:p, None])
+    second, third = _householder(v2.T), completing if p >= q else _householder(u1)
     fourth = _householder(np.einsum("ij,jk->ik", d, v2) / c[:q])
     # R acts on each block alone: lift it in the blocks' subalgebras, e_L e_H = e_K for K = H 2^p + L
     x1, _ = _lift_block(p, 0, first)
@@ -951,10 +970,9 @@ def recover_hestenes(
         raise HestenesConditionError("the contraction self-product vanished")
     w_inv = 1.0 / w
     normalized = contraction * w_inv.real + _blade_mul_right(t, contraction, t.full_mask, w_inv.imag)
-    verified = _dense_verified(  # the lift implies the contraction 4 S (x_0 - x_I I)
-        t, [(None, normalized)], matrix, lambda s, lam: gate(4.0 * _implied_peak(t, s, lam, -1.0)),
-        lambda: _csd_lift(t, matrix))
-    return _verified(t, *verified, residual_tol, spinor_norm_sign(matrix), None, matrix)
+    best, action, residual, _ = _dense_verified(  # the lift implies the contraction 4 S (x_0 - x_I I)
+        t, [(None, normalized)], matrix, lambda s, lam: gate(4.0 * _implied_peak(t, s, lam, -1.0)), None)
+    return _verified(t, best, action, residual, residual_tol, spinor_norm_sign(matrix), None, matrix)
 
 
 def rotor_from_frames(

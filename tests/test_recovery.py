@@ -913,18 +913,34 @@ class TestLiftRoute:
     def dense_path(monkeypatch):
         monkeypatch.setattr(rotorlift.recovery, "_LIFT_ROUTE_DIMENSION", rotorlift.recovery.MAX_DIMENSION + 1)
 
+    # (p, q, seed) whose candidate's bound is above 1e-11 (1.6e-11, 9.8e-11, 6.1e-11 and
+    # 2.9e-11, against dense readings of 2.8e-12, 8.0e-12, 1.7e-11 and 6.4e-12): the dense
+    # route decides there
+    UNSETTLED = {(5, 4, 3), (5, 5, 2), (6, 5, 2), (6, 5, 3)}
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("p, q", [(5, 4), (8, 1), (5, 5), (9, 1), (6, 5), (10, 1), (7, 1)])
+    @pytest.mark.parametrize("p, q", [(5, 4), (8, 1), (5, 5), (9, 1), (6, 5), (10, 1)])
     def test_lift_makes_no_dense_product(self, monkeypatch, p, q, seed):
-        # balanced signatures included: Cl(6,5) seed 2 made 13 dense products
-        # when a commutation-defect certificate verified the candidate
+        # balanced signatures included, where a commutation-defect certificate
+        # made up to 13 dense products (Cl(6,5) seed 2)
         sig = Signature(p, q)
         assert sig.n >= self.N0
         matrix = forward_matrix(random_versor(sig, 4, seed=seed))
         calls = TestTwistedAction.count_products(monkeypatch)
         result = recover_spin(matrix)
-        assert result.residual <= 1e-11
-        assert len(calls) == 0  # central part, lift, distance, bound and tags: no dense product
+        if (p, q, seed) not in self.UNSETTLED:
+            assert result.residual <= 1e-11
+            assert len(calls) == 0  # central part, lift, distance, bound and tags: no dense product
+            return
+        # the dense route, as below n0, on the nearest candidate alone: the distance
+        # settles the central gram and every gram, and the probe and rows remain
+        route_calls = len(calls)
+        calls.clear()
+        self.dense_path(monkeypatch)
+        dense = recover_spin(matrix)
+        assert ((dense.spin.coeffs.tobytes(), dense.residual, dense.groups, dense.norm_sign, dense.warning)
+                == (result.spin.coeffs.tobytes(), result.residual, result.groups, result.norm_sign, result.warning))
+        assert 1 <= route_calls <= len(calls) - 2
 
     @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(9)
                                      if sig.n % 2 == 1 and pseudoscalar_square(sig) > 0])
@@ -954,7 +970,8 @@ class TestLiftRoute:
             assert (near1 < near2) == (d1 < d2), k
             assert min(d1, d2) < 1e-9 and min(near1, near2) < 1e-9 and max(near1, near2) == math.inf, k
 
-    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2])
+    @pytest.mark.parametrize("sig", [sig for sig in signatures_up_to(7) if sig.n >= 2]
+                             + [Signature(5, 4), Signature(8, 1), Signature(5, 5)])
     def test_non_central_bound_holds_for_any_element_and_root(self, sig):
         """reverse(N) N for N = S Z + Delta, Z = alpha + beta I central, against _non_central_peak.
 
@@ -984,9 +1001,9 @@ class TestLiftRoute:
 
     @pytest.mark.parametrize("n", range(N0, 12))
     def test_same_answers_as_the_dense_path(self, monkeypatch, n):
-        """Spin bytes, tags, norm sign and warning as below n0, and a residual that
-        bounds the dense one read from the fully formed rows.  Cl(5,4) k = 4 keeps
-        a candidate at 5.9e-12 below n0, whose bound is 2.9e-11: the lift wins there."""
+        """Spin bytes, tags, norm sign and warning as below n0; the residual is the
+        dense one, or a bound within 1e-11 where the distance to the lift settled
+        it, and never below the deviation read from the fully formed rows."""
         matrices = []
         for p in (n, n - 1, n - n // 2):
             sig = Signature(p, n - p)
@@ -998,17 +1015,10 @@ class TestLiftRoute:
         self.dense_path(monkeypatch)
         for matrix, result, outcome in zip(matrices, lifted, tight):
             dense = recover_spin(matrix)
-            if result.spin.coeffs.tobytes() != dense.spin.coeffs.tobytes():
-                # a candidate whose dense residual is near the threshold, but whose
-                # bound is above it: the lift wins on its bound, with a smaller residual
-                t = rotorlift.recovery._get_tables(matrix.sig)
-                lift = rotorlift.recovery._csd_lift(t, matrix).spin
-                lift = canonicalize_sign(Multivector(matrix.sig, lift))
-                assert result.spin.coeffs.tobytes() == lift.coeffs.tobytes()
-                assert 1e-12 < dense.residual <= 1e-11
-                assert self.rows_residual(result.spin, matrix) < dense.residual
+            assert result.spin.coeffs.tobytes() == dense.spin.coeffs.tobytes()
             assert (result.groups, result.norm_sign, result.warning) == (dense.groups, dense.norm_sign,
                                                                          dense.warning)
+            assert result.residual == dense.residual or dense.residual <= result.residual <= 1e-11
             assert result.residual >= self.rows_residual(result.spin, matrix)
             assert outcome == self.outcome(matrix, 1e-14)
 
@@ -1096,8 +1106,8 @@ class TestLiftRoute:
         self.dense_path(monkeypatch)
         dense = recover_spin(matrix)
         assert dense.spin.coeffs.tobytes() == result.spin.coeffs.tobytes()
-        # from n0 on the residual is the lift's bound
-        assert dense.residual <= result.residual <= 1e-11
+        # no candidate has a finite bound: the dense route decides from n0 on too
+        assert dense.residual == result.residual
 
     def test_classification_judges_rows_at_the_residual_scale(self):
         # A strong Cl(5,4) versor, entry peak 1.2e3: the Newton polish that the CSD

@@ -24,8 +24,10 @@ The action of an element S, reverse(S)*S with the rows
 grade_involution(S) e_a S^-1, is computed once per element by
 ``_twisted_action`` and shared by the verification residual, the group
 classification and the forward map; S and -S share it.  It costs two
-products, not n + 1: the grade-1 block of the rows is read in O(n^2 2^n),
-and one probe product at fixed weights checks that no row leaves grade 1.
+products, not n + 1: the grade-1 block of the rows is read in O(n^2 2^n)
+by one gather through the flip index and one 2^n-long contraction per
+entry, and one probe product at fixed weights checks that no row leaves
+grade 1.
 The n full rows are formed only when the probe is not clean at its
 reader's bound.  The residual is the larger of the block defect max |M - P|
 and the rows' off-vector peak, over max(1, entry peak).
@@ -62,7 +64,6 @@ from .algebra import (
     _central_parts,
     _get_tables,
     _product_arrays,
-    _scalar_vector_parts,
     _vector_mul_right,
     pseudoscalar_square,
 )
@@ -287,8 +288,8 @@ def _gram(t, s_arr: np.ndarray) -> np.ndarray:
 
 
 def _gram_scalar(t, s_arr: np.ndarray) -> float:
-    """<reverse(S)*S>_0 in O(n 2^n), equal to ``_gram(t, s_arr)[0]`` bit for bit."""
-    return _scalar_vector_parts(t, (s_arr * t.reverse_signs)[None], s_arr)[0, 0]
+    """<reverse(S)*S>_0 in O(2^n), equal to ``_gram(t, s_arr)[0]`` bit for bit."""
+    return _central_parts(t, s_arr * t.reverse_signs, s_arr)[0]
 
 
 def _norm(t, arr: np.ndarray) -> float:
@@ -351,16 +352,20 @@ class _Action:
 
     @property
     def block(self) -> np.ndarray | None:
-        """The n x n grade-1 block of the rows, formed once.
+        """The n x n grade-1 block of the rows, formed once in O(n^2 2^n).
 
-        Read by ``_scalar_vector_parts`` in O(n^2 2^n) while the rows are not
-        formed, and sliced from them after; the two agree bit for bit.
+        M[a, b] = sum_K V_a[K] x[K ^ e_b] sign(e_K e_{K ^ e_b}), x = S^-1: one
+        gather of x through the flip index and one 2^n-long contraction, no
+        BLAS.  With A = K ^ e_b, e_K = sign(e_b e_A) e_b e_A, so sign(e_K e_A)
+        = left_gather[b, K] blade_square[A].  The block is never sliced from
+        the rows, so its bytes do not depend on whether they are formed; it
+        is a different sum of the rows' grade-1 terms and agrees with them to
+        rounding (both are 2^n-term dot products).
         """
         if self._block is None and self._images is not None:
-            if self.rows is None:
-                self._block = _scalar_vector_parts(self.t, self._images, self._inverse)[:, 1:]
-            else:
-                self._block = self.rows[:, self.t.grades == 1]
+            t = self.t
+            flipped = (self._inverse * t.blade_square).take(t.flips) * t.left_gather
+            self._block = np.einsum("ak,bk->ab", self._images, flipped)
         return self._block
 
     def form_rows(self) -> np.ndarray | None:

@@ -11,7 +11,10 @@ shortcut with the routine it checks:
   (production: the product of frame vectors in ``matrices``);
 * ``average_over_basis`` and ``generator_conjugation``: the averaging sums
   over all blades and over the generators (closed forms:
-  ``center_project`` and the eigenvalue (-1)^k (n - 2k) on grade k).
+  ``center_project`` and the eigenvalue (-1)^k (n - 2k) on grade k);
+* ``action_block``: the grade-1 block of the action, each row a sum of
+  blade products over the blades of S^-1 (production:
+  ``recovery._Action.block``, one flip gather and one contraction).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Multivector, _blade_mul_left, _blade_mul_right, _get_tables
+from .algebra import Multivector, _blade_mul_left, _blade_mul_right, _get_tables, involution
 from .matrices import OrthoMatrix, _check_multi_index, minor
 
 
@@ -65,3 +68,13 @@ def generator_conjugation(u: Multivector) -> Multivector:
         term = _blade_mul_right(t, u.coeffs, bit, float(t.metric[a]))
         acc += _blade_mul_left(t, term, bit)
     return Multivector(u.sig, acc)
+
+
+def action_block(s: Multivector) -> np.ndarray:
+    """Grade-1 block of the rows grade_involution(S) e_a S^-1, each summed blade by blade over S^-1."""
+    t = _get_tables(s.sig)
+    reverse = involution(s, "reverse").coeffs
+    inverse = reverse / float(np.sum(reverse * s.coeffs * t.blade_square))
+    images = [_blade_mul_right(t, involution(s, "grade").coeffs, 1 << a) for a in range(t.n)]
+    rows = [sum(_blade_mul_right(t, image, mask, inverse[mask]) for mask in range(t.size)) for image in images]
+    return np.array(rows)[:, t.grades == 1]

@@ -208,15 +208,39 @@ class TestFrameBlades:
         matrix = validate_pseudo_orthogonal(np.eye(3), Signature(3, 0))
         assert frame_blade(matrix, (1, 2)).terms() == {0b011: 1.0}
 
+    @staticmethod
+    def rounding_bound(matrix):
+        """A priori bound on the rounding of ``frame_blade`` over all n rows: c eps prod_a |f_a|_2.
+
+        It forms X <- X f_a for a = 1..n, each coefficient a sum of n products
+        by the coordinates of f_a, so each step is within gamma_{n+1} |f_a|_1 |X|_2
+        in 2-norm, and |X f|_2 <= |f|_1 |X|_2 for a vector f.  The computed blade is
+        then within n gamma_{n+1} prod_a |f_a|_1 <= n (n + 1) / 2 n^(n/2) eps
+        prod_a |f_a|_2 of the exact product, whose pseudoscalar coefficient is
+        det P (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+        c is twice that constant.  The other half is a margin for what the bound
+        leaves out, of the same first-order form eps prod_a |f_a|_2: the rows'
+        own rounding off pseudo-orthogonality, which puts the exact product off
+        the pseudoscalar, and the rounding of np.linalg.det's LU.  The bound
+        scales with the rows as a fixed one cannot: Cl(2,3), k = 3, seed 14
+        reads 2.1e-9 off the pseudoscalar with prod_a |f_a|_2 = 3.2e9, where
+        the bound is 1.2e-3, while the inputs with prod_a |f_a|_2 <= 50 are
+        held to about 2e-11 or less.
+        """
+        n = matrix.sig.n
+        constant = n * (n + 1) * n ** (n / 2.0)
+        return constant * np.finfo(np.float64).eps * float(np.prod(np.linalg.norm(matrix.entries, axis=1)))
+
     @pytest.mark.parametrize("sig", signatures_up_to(5))
     def test_full_blade_is_determinant(self, sig):
         for k, seed in ((2, 11), (3, 12)):
             matrix = random_orthogonal(sig, k, seed=seed + sig.p)
             blade = frame_blade(matrix, range(1, sig.n + 1))
+            bound = self.rounding_bound(matrix)
             expected = {(1 << sig.n) - 1: matrix.det}
-            got = blade.terms(tol=1e-9 * max(1.0, blade.max_abs()))
+            got = blade.terms(tol=bound)
             assert set(got) == set(expected)
-            assert abs(got[(1 << sig.n) - 1] - matrix.det) <= 1e-9 * max(1.0, abs(matrix.det))
+            assert abs(got[(1 << sig.n) - 1] - matrix.det) <= bound
 
     @pytest.mark.parametrize("sig", signatures_up_to(5))
     def test_product_form_matches_minor_form(self, sig):

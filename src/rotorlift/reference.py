@@ -75,6 +75,7 @@ def action_block(s: Multivector) -> np.ndarray:
     t = _get_tables(s.sig)
     reverse = involution(s, "reverse").coeffs
     inverse = reverse / float(np.sum(reverse * s.coeffs * t.blade_square))
-    images = [_blade_mul_right(t, involution(s, "grade").coeffs, 1 << a) for a in range(t.n)]
+    hat = involution(s, "grade").coeffs
+    images = [_blade_mul_right(t, hat, 1 << a) for a in range(t.n)]
     rows = [sum(_blade_mul_right(t, image, mask, inverse[mask]) for mask in range(t.size)) for image in images]
     return np.array(rows)[:, t.grades == 1]
